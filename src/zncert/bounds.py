@@ -1,12 +1,13 @@
 """Uncertainty and recovery certificates for support/spectrum pairs.
 
-Three lower bounds on N^d are evaluated as explicit certificates: the
-classical product bound |E||Sigma|, the additive-energy bound
-|E| * energy(Sigma)^{1/3}, and its refinement with correction terms that
-vanish exactly on coset pairs. Where the comparison reduces to integers
-(classical and additive kinds) the satisfied flag is decided by comparing
-cubes exactly; cube roots are taken for display only. The refined kind
-involves square roots and is decided at tolerance 1e-9 * N^d.
+Three upper bounds on N^d, each the right side of N^d <= rhs, are
+evaluated as explicit certificates: the classical product bound
+|E||Sigma|, the additive-energy bound |E| * energy(Sigma)^{1/3}, and its
+refinement with correction terms that vanish exactly on coset pairs.
+Where the comparison reduces to integers (classical and additive kinds)
+the satisfied flag is decided by comparing cubes exactly; cube roots are
+taken for display only. The refined kind involves square roots and is
+decided at tolerance 1e-9 * N^d.
 
 Evaluators accept arbitrary size/energy combinations so they can be used
 as what-if calculators; only genuine signal supports are guaranteed to
@@ -295,8 +296,8 @@ def bound_comparison_table(
     """One row per (E, Sigma) pair comparing all three bounds.
 
     Rows preserve input order. The sharpest bound is the one with the
-    smallest right side (each is a lower bound on N^d, so smaller is
-    stronger).
+    smallest right side (each is an upper bound on N^d, so the smallest
+    is the tightest).
     """
     rows = []
     for e, sigma in scenarios:

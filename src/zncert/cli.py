@@ -8,7 +8,7 @@ from pathlib import Path
 import click
 
 from ._version import __version__
-from .lattice import GroupParams, load_set
+from .lattice import GroupParams, SupportSet, load_set
 from .spectral import dft, load_signal, support_of
 from .energy import energy_certificate
 from .bounds import (
@@ -29,6 +29,14 @@ from .harness import (
     run_recovery_sweep,
     run_soundness_sweep,
 )
+
+
+def _load_set(path: str, option: str) -> SupportSet:
+    """Load a set file, reporting a malformed one as a usage error on its option."""
+    try:
+        return load_set(path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=option) from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -68,7 +76,7 @@ def main() -> None:
 @click.option("--output", type=click.Path(), default=None)
 def energy(set_path: str, method: str, output: str | None) -> None:
     """Additive energy of a set, as an exact certificate."""
-    cert = energy_certificate(load_set(set_path), method)
+    cert = energy_certificate(_load_set(set_path, "--set"), method)
     _emit(canonical_json(cert.to_json_dict()), output)
 
 
@@ -91,8 +99,8 @@ def bounds(
         e = support_of(f)
         sigma = support_of(dft(f))
     elif e_path and sigma_path:
-        e = load_set(e_path)
-        sigma = load_set(sigma_path)
+        e = _load_set(e_path, "--E")
+        sigma = _load_set(sigma_path, "--Sigma")
     else:
         raise click.UsageError("provide --signal or both --E and --Sigma")
     params = e.params
@@ -128,7 +136,7 @@ def recover(
     else:
         if support_path is None:
             raise click.UsageError("--method lsq requires --support")
-        solution = least_squares_recover(problem, load_set(support_path))
+        solution = least_squares_recover(problem, _load_set(support_path, "--support"))
     _emit(canonical_json(solution.to_json_dict()), output)
 
 

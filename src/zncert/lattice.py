@@ -257,7 +257,24 @@ def set_to_json_dict(a: SupportSet) -> dict:
 
 
 def set_from_json_dict(data: dict) -> SupportSet:
+    """Parse a set file's contents; members must already be points of Z_N^d.
+
+    Unlike ``SupportSet.from_coords``, coordinates are not reduced mod N:
+    a member with the wrong number of coordinates, or with a coordinate
+    that is not an integer in [0, N), raises ValueError naming the member.
+    """
     params = GroupParams(int(data["N"]), int(data["d"]))
+    n, d = params.modulus, params.dimension
+    for i, member in enumerate(data["members"]):
+        if not (
+            isinstance(member, (list, tuple))
+            and len(member) == d
+            and all(isinstance(c, int) and 0 <= c < n for c in member)
+        ):
+            raise ValueError(
+                f"member {i} {member!r} is not a point of Z_{n}^{d}:"
+                f" expected {d} integer coordinates in [0, {n})"
+            )
     return SupportSet.from_coords(params, data["members"])
 
 

@@ -80,6 +80,8 @@ class Signal:
             raise ValueError(
                 f"expected {self.params.size} values, got {vals.size}"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError("signal values must be finite (no NaN or inf)")
         if self.side not in (TIME, FREQUENCY):
             raise ValueError(f"unknown side {self.side!r}")
         vals.setflags(write=False)

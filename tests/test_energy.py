@@ -10,17 +10,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zncert import energy
 from zncert.errors import CapacityError
 from zncert.lattice import (
     GroupParams,
     SupportSet,
     all_cyclic_subgroups,
+    make_cyclic_subgroup,
     make_interval_grid,
     negate_set,
     shift_set,
 )
 from zncert.energy import (
+    RepresentationFunction,
     energy_certificate,
     energy_fourier_check,
     energy_growth_certificate,
@@ -87,12 +91,118 @@ def test_representation_function_triangle():
         p = GroupParams(2 * m, 1)
         interval = make_interval_grid(p, m)
         r = representation_function(interval)
-        counts = {v.coords[0]: c for v, c in r.counts.items()}
+        counts = dict(zip(r.sums.tolist(), r.counts.tolist()))
         for t in range(2 * m - 1):
             expected = t + 1 if t <= m - 1 else 2 * m - 1 - t
             assert counts.get(t, 0) == expected
         assert r.total() == m * m
         assert r.energy() == (2 * m**3 + m) // 3
+
+
+# Largest modulus per dimension: small enough for the cubic quadruple oracle.
+SMALL_MODULUS = {1: 24, 2: 6, 3: 3}
+
+
+@st.composite
+def small_sets(draw):
+    """Empty sets, full groups, cosets and random sets in small Z_N^d."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, SMALL_MODULUS[d]))
+    p = GroupParams(n, d)
+    kind = draw(st.sampled_from(["empty", "full", "coset", "random"]))
+    if kind == "empty":
+        return SupportSet(p, ())
+    if kind == "full":
+        return SupportSet(p, tuple(p.points()))
+    point = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(p.vector)
+    if kind == "coset":
+        return shift_set(make_cyclic_subgroup(p, draw(point)), draw(point))
+    flat = draw(st.sets(st.integers(0, p.size - 1), min_size=1))
+    return SupportSet(p, tuple(p.from_flat(i) for i in sorted(flat)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_sets())
+def test_routes_agree_with_quadruple_count(a):
+    dense = energy._fft_counts(a)
+    assert dense is not None
+    sums, counts = energy._pair_counts(a)
+    assert np.array_equal(sums, np.flatnonzero(dense))
+    assert np.array_equal(counts, dense[sums])
+    assert int(counts.sum()) == len(a) ** 2
+    r = representation_function(a)
+    dense_enough = len(a) ** 2 >= max(a.params.size, energy.FFT_MIN_PAIRS)
+    assert r.route == ("fft" if dense_enough else "pairs")
+    assert r.energy() == int(np.dot(dense, dense)) == energy_quadruple(a)
+
+
+def test_pair_route_merges_chunks(monkeypatch):
+    rng = np.random.default_rng(31)
+    p = GroupParams(9, 2)
+    sets = [random_set(p, rng) for _ in range(10)]
+    whole = [energy._pair_counts(a) for a in sets]
+    monkeypatch.setattr(energy, "PAIR_CHUNK", 7)
+    for a, (sums, counts) in zip(sets, whole):
+        chunked_sums, chunked_counts = energy._pair_counts(a)
+        assert np.array_equal(chunked_sums, sums)
+        assert np.array_equal(chunked_counts, counts)
+
+
+def _off_by_one(r):
+    # Rounds cleanly and stays in range, but sums to |A|^2 + 1.
+    r = r.copy()
+    r.flat[0] += 1
+    return r
+
+
+def _out_of_range(r):
+    # Moves N^d > |A| between two entries: the sum and the rounding stay
+    # clean, but both entries leave [0, |A|].
+    r = r.copy()
+    r.flat[0] += r.size
+    r.flat[1] -= r.size
+    return r
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [lambda r: r + 0.4, _off_by_one, _out_of_range],
+    ids=["margin", "sum", "range"],
+)
+def test_failed_certificate_falls_back_to_pairs(monkeypatch, perturb):
+    grid = make_interval_grid(GroupParams(13, 2), 6)  # 36^2 pairs: the FFT route
+    assert representation_function(grid).route == "fft"
+    inverse = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: perturb(inverse(*args, **kw)))
+    assert energy._fft_counts(grid) is None
+    r = representation_function(grid)
+    assert r.route == "pairs"
+    assert r.energy() == grid_energy_closed_form(6, 2) == energy_quadruple(grid)
+
+
+def test_fft_route_at_scale():
+    p = GroupParams(256, 2)
+    grid = make_interval_grid(p, 128)  # 2m - 2 < 256: no wraparound
+    r = representation_function(grid)
+    assert r.route == "fft"
+    assert r.energy() == grid_energy_closed_form(128, 2)
+    p = GroupParams(8192, 1)
+    coset = shift_set(make_cyclic_subgroup(p, p.vector([2])), p.vector([1]))
+    assert len(coset) == 4096
+    assert energy_representation(coset) == 4096**3
+
+
+def test_pair_route_capacity_guard():
+    # Flat pair-sum keys are int64: a larger group would wrap them.
+    p = GroupParams(2**32, 2)
+    with pytest.raises(CapacityError):
+        energy_representation(SupportSet.from_coords(p, [(0, 0), (1, 1)]))
+
+
+def test_energy_sum_of_squares_past_int64():
+    counts = np.full(4, 2**31, dtype=np.int64)  # each square is 2^62
+    r = RepresentationFunction(GroupParams(4, 1), np.arange(4), counts, "pairs")
+    assert r.energy() == 4 * 2**62 == 2**64
 
 
 def test_full_group_and_subgroup_energy():

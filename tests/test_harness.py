@@ -171,6 +171,15 @@ def test_cli_energy_and_bounds(tmp_path):
     assert result.exit_code != 0
 
 
+def test_cli_rejects_set_file_outside_the_group(tmp_path):
+    set_path = tmp_path / "bad.json"
+    set_path.write_text(json.dumps({"N": 4, "d": 1, "members": [[5], [-1]]}))
+    result = CliRunner().invoke(main, ["energy", "--set", str(set_path)])
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, ValueError)  # no traceback
+    assert "Invalid value for --set: member 0 [5] is not a point of Z_4^1" in result.output
+
+
 def test_cli_recover(tmp_path):
     _, _, problem_path, support_path = _write_fixture_files(tmp_path)
     runner = CliRunner()

@@ -1,5 +1,6 @@
 """Residue arithmetic, set generators, and the subgroup/annihilator duality."""
 
+import re
 from itertools import product
 
 import pytest
@@ -219,3 +220,17 @@ def test_set_json_round_trip(tmp_path):
     data = set_to_json_dict(a)
     assert data == {"N": 5, "d": 2, "members": [[0, 0], [1, 2]]}
     assert coords(set_from_json_dict(data)) == coords(a)
+
+
+@pytest.mark.parametrize(
+    "members, culprit",
+    [
+        ([[1], [5]], "member 1 [5]"),
+        ([[-1]], "member 0 [-1]"),
+        ([[1, 0]], "member 0 [1, 0]"),
+        ([[1.5]], "member 0 [1.5]"),
+    ],
+)
+def test_set_file_rejects_members_outside_the_group(members, culprit):
+    with pytest.raises(ValueError, match=re.escape(culprit)):
+        set_from_json_dict({"N": 4, "d": 1, "members": members})

@@ -202,3 +202,9 @@ def test_signal_json_round_trip():
 def test_signal_length_mismatch_rejected():
     with pytest.raises(ValueError):
         Signal(GroupParams(4, 1), np.zeros(5, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Signal(GroupParams(4, 1), np.array([1, bad, 0, 2], dtype=complex))
