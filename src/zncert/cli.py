@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import click
 
 from ._version import __version__
-from .lattice import GroupParams, SupportSet, load_set
+from .lattice import GroupParams, load_set
 from .spectral import dft, load_signal, support_of
 from .energy import energy_certificate
 from .bounds import (
@@ -30,11 +31,15 @@ from .harness import (
     run_soundness_sweep,
 )
 
+T = TypeVar("T")
 
-def _load_set(path: str, option: str) -> SupportSet:
-    """Load a set file, reporting a malformed one as a usage error on its option."""
+
+def _load(loader: Callable[[str], T], path: str, option: str) -> T:
+    """Load an input file, reporting a malformed one as a usage error on its option."""
     try:
-        return load_set(path)
+        return loader(path)
+    except KeyError as exc:
+        raise click.BadParameter(f"missing key {exc}", param_hint=option) from None
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=option) from None
 
@@ -76,7 +81,7 @@ def main() -> None:
 @click.option("--output", type=click.Path(), default=None)
 def energy(set_path: str, method: str, output: str | None) -> None:
     """Additive energy of a set, as an exact certificate."""
-    cert = energy_certificate(_load_set(set_path, "--set"), method)
+    cert = energy_certificate(_load(load_set, set_path, "--set"), method)
     _emit(canonical_json(cert.to_json_dict()), output)
 
 
@@ -95,12 +100,12 @@ def bounds(
 ) -> None:
     """Evaluate all uncertainty certificates for a signal or a set pair."""
     if signal_path:
-        f = load_signal(signal_path)
+        f = _load(load_signal, signal_path, "--signal")
         e = support_of(f)
         sigma = support_of(dft(f))
     elif e_path and sigma_path:
-        e = _load_set(e_path, "--E")
-        sigma = _load_set(sigma_path, "--Sigma")
+        e = _load(load_set, e_path, "--E")
+        sigma = _load(load_set, sigma_path, "--Sigma")
     else:
         raise click.UsageError("provide --signal or both --E and --Sigma")
     params = e.params
@@ -130,13 +135,13 @@ def recover(
     output: str | None,
 ) -> None:
     """Reconstruct a signal from a partially observed spectrum."""
-    problem = load_problem(problem_path)
+    problem = _load(load_problem, problem_path, "--problem")
     if method == "l1":
         solution = l1_recover(problem, SolverConfig(max_iter=max_iter))
     else:
         if support_path is None:
             raise click.UsageError("--method lsq requires --support")
-        solution = least_squares_recover(problem, _load_set(support_path, "--support"))
+        solution = least_squares_recover(problem, _load(load_set, support_path, "--support"))
     _emit(canonical_json(solution.to_json_dict()), output)
 
 
@@ -146,7 +151,7 @@ def recover(
 @click.option("--output", type=click.Path(), default=None)
 def gowers(signal_path: str, k: int, output: str | None) -> None:
     """Uniformity norm of order k, by the full cube-average sum."""
-    report = gowers_norm(load_signal(signal_path), k)
+    report = gowers_norm(_load(load_signal, signal_path, "--signal"), k)
     _emit(canonical_json(report.to_json_dict()), output)
 
 

@@ -256,26 +256,33 @@ def set_to_json_dict(a: SupportSet) -> dict:
     }
 
 
-def set_from_json_dict(data: dict) -> SupportSet:
-    """Parse a set file's contents; members must already be points of Z_N^d.
+def points_from_json(
+    params: GroupParams, entries: list, label: str = "member"
+) -> SupportSet:
+    """The set of points listed in a file, each already a point of Z_N^d.
 
     Unlike ``SupportSet.from_coords``, coordinates are not reduced mod N:
-    a member with the wrong number of coordinates, or with a coordinate
-    that is not an integer in [0, N), raises ValueError naming the member.
+    an entry with the wrong number of coordinates, or with a coordinate
+    that is not an integer in [0, N), raises ValueError naming the entry
+    by ``label`` and position.
     """
-    params = GroupParams(int(data["N"]), int(data["d"]))
     n, d = params.modulus, params.dimension
-    for i, member in enumerate(data["members"]):
+    for i, entry in enumerate(entries):
         if not (
-            isinstance(member, (list, tuple))
-            and len(member) == d
-            and all(isinstance(c, int) and 0 <= c < n for c in member)
+            isinstance(entry, (list, tuple))
+            and len(entry) == d
+            and all(isinstance(c, int) and 0 <= c < n for c in entry)
         ):
             raise ValueError(
-                f"member {i} {member!r} is not a point of Z_{n}^{d}:"
+                f"{label} {i} {entry!r} is not a point of Z_{n}^{d}:"
                 f" expected {d} integer coordinates in [0, {n})"
             )
-    return SupportSet.from_coords(params, data["members"])
+    return SupportSet.from_coords(params, entries)
+
+
+def set_from_json_dict(data: dict) -> SupportSet:
+    """Parse a set file's contents; members must already be points of Z_N^d."""
+    return points_from_json(GroupParams(int(data["N"]), int(data["d"])), data["members"])
 
 
 def save_set(a: SupportSet, path: str | Path) -> None:

@@ -9,7 +9,12 @@ preserves phases) with the exact Euclidean projection onto the affine set
 of signals whose spectra match the observations. The projection is one
 transform round trip with the observed coordinates overwritten; it is
 performed in the unitary convention, to which the solver converts
-internally regardless of the problem's own convention.
+internally regardless of the problem's own convention. The transform is
+the dense character-matrix sum of ``spectral``; each solve builds its
+forward and inverse matrices once and drops them when it returns.
+
+Problems are stored as row-major arrays (observed values and an observed
+mask), and the least-squares system is built from them in one pass.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .lattice import GroupParams, RingVector, SupportSet
+from .lattice import GroupParams, RingVector, SupportSet, points_from_json
 from .spectral import (
     FREQUENCY,
     TIME,
@@ -30,7 +35,9 @@ from .spectral import (
     Signal,
     UNITARY_MINUS,
     _apply_axis_transform,
+    _character_matrix,
     dft,
+    negation_permutation,
     signal_from_json_dict,
     signal_to_json_dict,
     support_of,
@@ -51,53 +58,95 @@ class SolverConfig:
     tau: float | None = None  # prox step; default 0.25 * peak of the zero-fill signal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RecoveryProblem:
-    """Observed spectrum values for every frequency outside the missing set."""
+    """Observed spectrum values for every frequency outside the missing set.
+
+    Stored as two read-only row-major arrays in the problem's convention:
+    ``target`` holds the observed values (zero at missing frequencies) and
+    ``mask`` is True exactly on the observed frequencies. The constructor
+    takes the observations as a mapping from frequency to value;
+    ``from_spectrum`` fills the arrays straight from a spectrum.
+    """
 
     params: GroupParams
-    observed: dict[RingVector, complex]
+    target: np.ndarray
+    mask: np.ndarray
     missing: SupportSet
-    convention: Convention = UNITARY_MINUS
+    convention: Convention
 
-    def __post_init__(self) -> None:
-        if self.missing.params != self.params:
+    def __init__(
+        self,
+        params: GroupParams,
+        observed: Mapping[RingVector, complex],
+        missing: SupportSet,
+        convention: Convention = UNITARY_MINUS,
+    ) -> None:
+        if missing.params != params:
             raise ValueError("missing set lives in a different group")
-        n_expected = self.params.size - len(self.missing)
-        if len(self.observed) != n_expected:
+        n_expected = params.size - len(missing)
+        if len(observed) != n_expected:
             raise ValueError(
                 f"observed must cover exactly the complement of the missing set:"
-                f" expected {n_expected} entries, got {len(self.observed)}"
+                f" expected {n_expected} entries, got {len(observed)}"
             )
-        for m in self.observed:
-            if m.modulus != self.params.modulus or m.dimension != self.params.dimension:
+        target = np.zeros(params.size, dtype=np.complex128)
+        for m, v in observed.items():
+            if m.modulus != params.modulus or m.dimension != params.dimension:
                 raise ValueError(f"frequency {m.coords} is outside the group")
-            if m in self.missing:
+            if m in missing:
                 raise ValueError(f"frequency {m.coords} is both observed and missing")
+            target[params.flat_index(m)] = v
+        self._store(params, target, missing, convention)
+
+    def _store(
+        self,
+        params: GroupParams,
+        target: np.ndarray,
+        missing: SupportSet,
+        convention: Convention,
+    ) -> None:
+        mask = np.ones(params.size, dtype=bool)
+        mask[missing.flat_indices()] = False
+        target[~mask] = 0.0
+        target.setflags(write=False)
+        mask.setflags(write=False)
+        for name, value in (
+            ("params", params),
+            ("target", target),
+            ("mask", mask),
+            ("missing", missing),
+            ("convention", convention),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_spectrum(cls, spectrum: Signal, missing: SupportSet) -> RecoveryProblem:
         """Build a problem from a full spectrum by erasing the missing entries."""
-        observed = {
-            m: spectrum.value_at(m)
-            for m in spectrum.params.points()
-            if m not in missing
-        }
-        return cls(spectrum.params, observed, missing, spectrum.convention)
+        if missing.params != spectrum.params:
+            raise ValueError("missing set lives in a different group")
+        problem = cls.__new__(cls)
+        problem._store(
+            spectrum.params, np.array(spectrum.values), missing, spectrum.convention
+        )
+        return problem
 
     @classmethod
     def from_signal(cls, f: Signal, missing: SupportSet) -> RecoveryProblem:
         """Transform a time-side signal and erase the missing frequencies."""
         return cls.from_spectrum(dft(f), missing)
 
+    @property
+    def observed(self) -> dict[RingVector, complex]:
+        """The observations as a mapping from frequency to value, in row-major order."""
+        return {
+            self.params.from_flat(int(i)): complex(self.target[i])
+            for i in np.flatnonzero(self.mask)
+        }
+
     def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, observed_mask) in row-major order, problem convention."""
-        target = np.zeros(self.params.size, dtype=np.complex128)
-        mask = np.ones(self.params.size, dtype=bool)
-        mask[self.missing.flat_indices()] = False
-        for m, v in self.observed.items():
-            target[self.params.flat_index(m)] = v
-        return target, mask
+        return self.target.copy(), self.mask.copy()
 
 
 @dataclass(frozen=True)
@@ -131,14 +180,16 @@ def _unitary_constraints(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarr
     """
     params = problem.params
     factor = problem.convention.forward_scale(params) * math.sqrt(params.size)
-    target = np.zeros(params.size, dtype=np.complex128)
-    mask = np.zeros(params.size, dtype=bool)
-    flip = problem.convention.forward_sign == 1
-    for m, v in problem.observed.items():
-        mu = -m if flip else m
-        idx = params.flat_index(mu)
-        target[idx] = v / factor
-        mask[idx] = True
+    v = problem.target
+    # Python's complex / float, written out part by part: numpy's complex
+    # division multiplies by a reciprocal, which rounds differently.
+    target = np.empty_like(v)
+    target.real = (v.real + v.imag * 0.0) / factor
+    target.imag = (v.imag - v.real * 0.0) / factor
+    mask = problem.mask
+    if problem.convention.forward_sign == 1:
+        perm = negation_permutation(params)
+        target, mask = target[perm], mask[perm]
     return target, mask
 
 
@@ -146,14 +197,6 @@ def _soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     mag = np.abs(values)
     shrink = np.maximum(mag - tau, 0.0)
     return values * np.divide(shrink, mag, out=np.zeros_like(mag), where=mag > 0)
-
-
-def _feasibility_residual(problem: RecoveryProblem, candidate: Signal) -> float:
-    spectrum = dft(candidate)
-    worst = 0.0
-    for m, v in problem.observed.items():
-        worst = max(worst, abs(spectrum.value_at(m) - v))
-    return worst
 
 
 def l1_recover(
@@ -173,12 +216,15 @@ def l1_recover(
     params.require_dense("l1 recovery")
     target, observed_mask = _unitary_constraints(problem)
     scale = params.size**-0.5
+    # Built once per solve and released with it: a cache kept across solves
+    # would hold every size's matrices for the life of the process.
+    w = {sign: _character_matrix(params.modulus, sign) for sign in (-1, 1)}
 
     def forward(v: np.ndarray) -> np.ndarray:
-        return _apply_axis_transform(v, params, -1) * scale
+        return _apply_axis_transform(v, params, w[-1]) * scale
 
     def inverse(v: np.ndarray) -> np.ndarray:
-        return _apply_axis_transform(v, params, 1) * scale
+        return _apply_axis_transform(v, params, w[1]) * scale
 
     def project(g: np.ndarray) -> np.ndarray:
         spec = forward(g)
@@ -186,11 +232,16 @@ def l1_recover(
         return inverse(spec)
 
     def finish(z: np.ndarray, iterations: int, status: str, **extra) -> RecoverySolution:
-        sig = Signal(params, z, problem.convention, side=TIME)
+        # dft(z) under the problem's convention, from the matrices at hand
+        spectrum = _apply_axis_transform(z, params, w[problem.convention.forward_sign])
+        spectrum *= problem.convention.forward_scale(params)
+        observed = problem.mask
         return RecoverySolution(
-            signal=sig,
+            signal=Signal(params, z, problem.convention, side=TIME),
             objective=float(np.sum(np.abs(z))),
-            feasibility_residual=_feasibility_residual(problem, sig),
+            feasibility_residual=float(
+                np.max(np.abs(spectrum[observed] - problem.target[observed]), initial=0.0)
+            ),
             iterations=iterations,
             status=status,
             diagnostics=extra,
@@ -254,9 +305,7 @@ def l1_objective_profile(
     )
     peak = float(np.max(np.abs(spec.values)))
     limit = 1e-10 * max(1.0, peak)
-    worst = max(
-        (abs(spec.value_at(m)) for m in problem.observed), default=0.0
-    )
+    worst = float(np.max(np.abs(spec.values[problem.mask]), initial=0.0))
     if worst > limit:
         raise ValueError(
             f"direction is not in the feasible null space: residual {worst:.3e}"
@@ -267,6 +316,29 @@ def l1_objective_profile(
     return [
         float(np.sum(np.abs(base.values + s * direction.values))) for s in steps
     ]
+
+
+def _least_squares_system(
+    problem: RecoveryProblem, support: SupportSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right side of ghat(m) = observed(m) over {g(x) : x in support}.
+
+    Rows run over the observed frequencies in row-major order, columns over
+    the support's members.
+    """
+    params = problem.params
+    shape = (params.modulus,) * params.dimension
+    frequencies = np.stack(np.unravel_index(np.flatnonzero(problem.mask), shape), axis=-1)
+    points = np.stack(
+        np.unravel_index(np.array(support.flat_indices(), dtype=np.int64), shape), axis=-1
+    )
+    phase = (frequencies @ points.T) % params.modulus
+    arg = problem.convention.forward_sign * 2j * np.pi * phase
+    # Python's complex / int divides each part; numpy's complex division
+    # multiplies by a reciprocal, which rounds differently.
+    arg.imag /= params.modulus
+    matrix = problem.convention.forward_scale(params) * np.exp(arg)
+    return matrix, problem.target[problem.mask]
 
 
 def least_squares_recover(
@@ -285,18 +357,8 @@ def least_squares_recover(
     if support.params != problem.params:
         raise ValueError("support lives in a different group")
     params = problem.params
-    frequencies = sorted(problem.observed, key=params.flat_index)
-    n_obs, n_unknown = len(frequencies), len(support)
-
-    sign = problem.convention.forward_sign
-    fscale = problem.convention.forward_scale(params)
-    matrix = np.empty((n_obs, n_unknown), dtype=np.complex128)
-    for i, m in enumerate(frequencies):
-        for j, x in enumerate(support):
-            matrix[i, j] = fscale * np.exp(
-                sign * 2j * np.pi * m.dot(x) / params.modulus
-            )
-    rhs = np.array([problem.observed[m] for m in frequencies], dtype=np.complex128)
+    matrix, rhs = _least_squares_system(problem, support)
+    n_obs, n_unknown = matrix.shape
 
     coeffs, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
     values = np.zeros(params.size, dtype=np.complex128)
@@ -363,8 +425,7 @@ def concentration_check(
 
 
 def problem_to_json_dict(problem: RecoveryProblem) -> dict:
-    target, _ = problem.target_arrays()
-    spectrum = Signal(problem.params, target, problem.convention, side=FREQUENCY)
+    spectrum = Signal(problem.params, problem.target, problem.convention, side=FREQUENCY)
     data = signal_to_json_dict(spectrum)
     data["missing"] = [list(m.coords) for m in problem.missing]
     return data
@@ -375,7 +436,7 @@ def problem_from_json_dict(data: dict) -> RecoveryProblem:
     missing_coords = payload.pop("missing", [])
     payload.setdefault("side", FREQUENCY)
     spectrum = signal_from_json_dict(payload)
-    missing = SupportSet.from_coords(spectrum.params, missing_coords)
+    missing = points_from_json(spectrum.params, missing_coords, "missing frequency")
     return RecoveryProblem.from_spectrum(spectrum, missing)
 
 

@@ -2,10 +2,12 @@
 
 Two normalization conventions are supported (unitary: N^{-d/2} in both
 directions; analyst: 1 forward and N^{-d} inverse) together with either
-exponent sign in the forward transform. The transform itself is a direct
-per-axis application of the N x N character matrix, which is the defining
-sums evaluated exactly (up to floating point) rather than an FFT: at desk
-scale correctness is the contract, not asymptotics.
+exponent sign in the forward transform. The transform is the defining
+dense sum: the N x N character matrix applied along each axis, evaluated
+exactly (up to floating point) rather than by an FFT, whose different
+roundoff would move report fields printed to 12 significant digits.
+Each transform builds its matrix once, in bounded row blocks; the l1
+solver builds its pair once per solve and reuses it across iterations.
 """
 
 from __future__ import annotations
@@ -97,10 +99,29 @@ class Signal:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
-def _apply_axis_transform(values: np.ndarray, params: GroupParams, sign: int) -> np.ndarray:
-    """Apply the character matrix W[m, x] = exp(sign*2*pi*i*m*x/N) per axis."""
+#: Entries per row block of a character matrix under construction, which
+#: bounds the temporaries of the build to a few blocks of this size.
+CHARACTER_BLOCK = 1 << 14
+
+
+def _character_matrix(n: int, sign: int) -> np.ndarray:
+    """The character matrix W[m, x] = exp(sign*2*pi*i*m*x/n).
+
+    Rows are written in blocks into one preallocated array; every entry is
+    the same expression, so the bits match a one-shot build.
+    """
+    w = np.empty((n, n), dtype=np.complex128)
+    cols = np.arange(n)
+    step = max(1, CHARACTER_BLOCK // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        np.exp(sign * 2j * np.pi * np.outer(rows, cols) / n, out=w[start : start + step])
+    return w
+
+
+def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray) -> np.ndarray:
+    """Apply a character matrix along every axis of the (N,)*d grid."""
     n, d = params.modulus, params.dimension
-    w = np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     t = values.reshape((n,) * d)
     for axis in range(d):
         t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
@@ -109,16 +130,16 @@ def _apply_axis_transform(values: np.ndarray, params: GroupParams, sign: int) ->
 
 def dft(f: Signal) -> Signal:
     """Forward transform under the signal's own convention."""
-    out = _apply_axis_transform(f.values, f.params, f.convention.forward_sign)
+    w = _character_matrix(f.params.modulus, f.convention.forward_sign)
+    out = _apply_axis_transform(f.values, f.params, w)
     out *= f.convention.forward_scale(f.params)
     return Signal(f.params, out, f.convention, side=FREQUENCY)
 
 
 def idft(spectrum: Signal) -> Signal:
     """Inverse transform; idft(dft(f)) reproduces f up to roundoff."""
-    out = _apply_axis_transform(
-        spectrum.values, spectrum.params, -spectrum.convention.forward_sign
-    )
+    w = _character_matrix(spectrum.params.modulus, -spectrum.convention.forward_sign)
+    out = _apply_axis_transform(spectrum.values, spectrum.params, w)
     out *= spectrum.convention.inverse_scale(spectrum.params)
     return Signal(spectrum.params, out, spectrum.convention, side=TIME)
 
@@ -154,10 +175,9 @@ def indicator_spectrum(a: SupportSet) -> Signal:
 
 def negation_permutation(params: GroupParams) -> np.ndarray:
     """Index permutation sending the value at m to the slot of -m."""
-    perm = np.empty(params.size, dtype=np.int64)
-    for i in range(params.size):
-        perm[i] = params.flat_index(-params.from_flat(i))
-    return perm
+    shape = (params.modulus,) * params.dimension
+    coords = np.unravel_index(np.arange(params.size), shape)
+    return np.ravel_multi_index(tuple(-c % params.modulus for c in coords), shape)
 
 
 def convert_convention(sig: Signal, convention: Convention) -> Signal:

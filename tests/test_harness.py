@@ -1,5 +1,6 @@
 """Experiment runners, report determinism, and the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -99,6 +100,34 @@ def test_report_reproducibility():
     assert first != other_seed
 
 
+#: sha256 and length of each default report's canonical JSON (timing
+#: excluded), as the dense-sum transform and solver print them on x86-64
+#: with numpy 2.4 and OpenBLAS. A change to any printed field, down to the
+#: roundoff digits of recovery errors and residuals, shows here.
+DEFAULT_REPORT_BYTES = {
+    "recovery-sweep": ("209a3ed25d4707db09a00aee1366e18a70f4f579293e32aeea90fc4f4383bfa2", 92913),
+    "soundness-sweep": ("b6bfe2aeb935c115d22f8c1eb7ddcf5eed6159ba53a5e4b68cbd8e8055822f74", 184159),
+    "example1": ("305b85b9f43c57b0a8996e1940d5cdebebf4f0079baa9bfb1ae6ebc581472b67", 4007),
+    "example2": ("4f3eda09bc8c60db38e4703146b15a782594bcf206a5d935bfd4e9063ec89b2e", 1096),
+    "extremal-cosets": ("799236bbe855c0e557dc5849f801aea058d2da8137cb54566752711b974bfc46", 22062),
+}
+
+
+def test_default_reports_are_byte_identical():
+    reports = [
+        run_recovery_sweep(ExperimentConfig("recovery-sweep")),
+        run_soundness_sweep(ExperimentConfig("soundness-sweep")),
+        run_example1(),
+        run_example2(),
+        run_extremal_cosets(),
+    ]
+    digests = {}
+    for report in reports:
+        data = report.to_json(include_timing=False).encode()
+        digests[report.scenario] = (hashlib.sha256(data).hexdigest(), len(data))
+    assert digests == DEFAULT_REPORT_BYTES
+
+
 def test_canonical_json_formats_floats():
     text = canonical_json({"value": 0.1234567890123456789, "nan": float("nan")})
     data = json.loads(text)
@@ -178,6 +207,31 @@ def test_cli_rejects_set_file_outside_the_group(tmp_path):
     assert result.exit_code == 2
     assert not isinstance(result.exception, ValueError)  # no traceback
     assert "Invalid value for --set: member 0 [5] is not a point of Z_4^1" in result.output
+
+
+SIGNAL_4 = {"N": 4, "d": 1, "values": [[1, 0], [0, 0], [0, 0], [2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "command,option,data,message",
+    [
+        (["bounds"], "--signal", {**SIGNAL_4, "values": [[1, 0], [2, 0]]}, "expected 4 values, got 2"),
+        (["bounds"], "--signal", {"N": 4, "d": 1}, "missing key 'values'"),
+        (["gowers"], "--signal", {**SIGNAL_4, "values": [[1, 0]] * 5}, "expected 4 values, got 5"),
+        (["gowers"], "--signal", {"d": 1, "values": SIGNAL_4["values"]}, "missing key 'N'"),
+        (["recover"], "--problem", {**SIGNAL_4, "missing": [[5]]}, "missing frequency 0 [5] is not a point of Z_4^1"),
+        (["recover"], "--problem", {**SIGNAL_4, "values": [[1, 0]] * 3, "missing": [[1]]}, "expected 4 values, got 3"),
+        (["recover"], "--problem", {"N": 4, "missing": [[1]]}, "missing key 'd'"),
+    ],
+    ids=["bounds-count", "bounds-key", "gowers-count", "gowers-key", "recover-missing", "recover-count", "recover-key"],
+)
+def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, option, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, [*command, option, str(path)])
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, (ValueError, KeyError))  # no traceback
+    assert f"Invalid value for {option}: {message}" in result.output
 
 
 def test_cli_recover(tmp_path):

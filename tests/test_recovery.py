@@ -1,13 +1,18 @@
 """The l1 solver, least squares, uniqueness predicate, and concentration."""
 
+import math
+
 import numpy as np
 import pytest
 
 from zncert.lattice import GroupParams, SupportSet
-from zncert.spectral import ANALYST_PLUS, Signal, dft, idft
+from zncert.spectral import ANALYST_PLUS, UNITARY_MINUS, Convention, Signal, dft, idft
 from zncert.recovery import (
+    CONVERGED,
     RecoveryProblem,
     SolverConfig,
+    _least_squares_system,
+    _soft_threshold,
     concentration_check,
     l1_objective_profile,
     l1_recover,
@@ -274,3 +279,141 @@ def test_solution_json_shape():
         "diagnostics",
         "signal",
     }
+
+
+def test_problem_from_json_rejects_missing_outside_the_group():
+    _, problem = four_point_problem()
+    data = problem_to_json_dict(problem)
+    for bad in ([[5]], [[-1]], [[1, 0]], [[1.0]], [1]):
+        data["missing"] = bad
+        with pytest.raises(ValueError, match="missing frequency 0 .* is not a point of Z_4"):
+            problem_from_json_dict(data)
+
+
+def test_problem_arrays_match_the_mapping():
+    rng = np.random.default_rng(31)
+    for n, d, conv in [(6, 1, UNITARY_MINUS), (4, 2, ANALYST_PLUS)]:
+        p = GroupParams(n, d)
+        f = Signal(p, rng.normal(size=p.size) + 1j * rng.normal(size=p.size), conv)
+        sidx = rng.choice(p.size, size=3, replace=False)
+        missing = SupportSet(p, tuple(p.from_flat(int(i)) for i in sidx))
+        problem = RecoveryProblem.from_signal(f, missing)
+        spectrum = dft(f)
+        expected = {m: spectrum.value_at(m) for m in p.points() if m not in missing}
+        assert problem.observed == expected
+        rebuilt = RecoveryProblem(p, expected, missing, conv)
+        assert np.array_equal(rebuilt.target, problem.target)
+        assert np.array_equal(rebuilt.mask, problem.mask)
+        assert not problem.mask[sidx].any() and np.all(problem.target[sidx] == 0)
+        with pytest.raises(ValueError):
+            problem.target[0] = 1.0
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def literal_least_squares_system(problem, support):
+    """The least-squares system as first written, one np.exp per entry."""
+    params = problem.params
+    frequencies = sorted(problem.observed, key=params.flat_index)
+    sign = problem.convention.forward_sign
+    fscale = problem.convention.forward_scale(params)
+    matrix = np.empty((len(frequencies), len(support)), dtype=np.complex128)
+    for i, m in enumerate(frequencies):
+        for j, x in enumerate(support):
+            matrix[i, j] = fscale * np.exp(
+                sign * 2j * np.pi * m.dot(x) / params.modulus
+            )
+    rhs = np.array([problem.observed[m] for m in frequencies], dtype=np.complex128)
+    return matrix, rhs
+
+
+@pytest.mark.parametrize("n,d", [(4, 1), (7, 1), (12, 1), (100, 1), (5, 2), (9, 2), (12, 2)])
+@pytest.mark.parametrize(
+    "convention",
+    [Convention(norm, sign) for norm in ("unitary", "analyst") for sign in ("minus-forward", "plus-forward")],
+)
+def test_least_squares_system_matches_double_loop(n, d, convention):
+    rng = np.random.default_rng([n, d])
+    f, problem = random_problem(rng, n, d, 4, 3)
+    problem = RecoveryProblem.from_signal(
+        Signal(f.params, f.values, convention), problem.missing
+    )
+    support = SupportSet(
+        f.params,
+        tuple(f.params.from_flat(int(i)) for i in rng.choice(f.params.size, size=4, replace=False)),
+    )
+    matrix, rhs = _least_squares_system(problem, support)
+    literal_matrix, literal_rhs = literal_least_squares_system(problem, support)
+    assert same_bits(matrix, literal_matrix)
+    assert same_bits(rhs, literal_rhs)
+
+
+def literal_axis_transform(values, params, sign):
+    """The transform as first written: the character matrix rebuilt per call."""
+    n, d = params.modulus, params.dimension
+    w = np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    t = values.reshape((n,) * d)
+    for axis in range(d):
+        t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
+    return t.reshape(-1)
+
+
+def oracle_l1(problem, cfg=SolverConfig()):
+    """The Douglas-Rachford loop as first written, constraints read from the
+    mapping one frequency at a time and both matrices rebuilt on every call.
+    Returns (signal values, objective, iterations) of a converged solve."""
+    params = problem.params
+    factor = problem.convention.forward_scale(params) * math.sqrt(params.size)
+    target = np.zeros(params.size, dtype=np.complex128)
+    mask = np.zeros(params.size, dtype=bool)
+    for m, v in problem.observed.items():
+        idx = params.flat_index(-m if problem.convention.forward_sign == 1 else m)
+        target[idx] = v / factor
+        mask[idx] = True
+    scale = params.size**-0.5
+
+    def project(g):
+        spec = literal_axis_transform(g, params, -1) * scale
+        spec[mask] = target[mask]
+        return literal_axis_transform(spec, params, 1) * scale
+
+    zero_fill = project(np.zeros(params.size, dtype=np.complex128))
+    problem_scale = float(np.max(np.abs(zero_fill)))
+    tau = 0.25 * problem_scale
+    gap_tol = cfg.feas_tol * problem_scale
+    x = zero_fill.copy()
+    previous_objective = math.inf
+    for iteration in range(1, cfg.max_iter + 1):
+        y = _soft_threshold(x, tau)
+        z = project(2.0 * y - x)
+        x += z - y
+        gap = float(np.max(np.abs(y - z)))
+        objective = float(np.sum(np.abs(z)))
+        if gap <= gap_tol and abs(objective - previous_objective) <= cfg.obj_tol * max(
+            1.0, objective
+        ):
+            return z, objective, iteration
+        previous_objective = objective
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("n,d,e_size,s_size", [(16, 1, 2, 3), (31, 1, 3, 4), (6, 2, 2, 5), (8, 2, 3, 6)])
+@pytest.mark.parametrize("convention", [UNITARY_MINUS, ANALYST_PLUS])
+def test_l1_matches_per_call_matrix_oracle(n, d, e_size, s_size, convention):
+    rng = np.random.default_rng([n, d, e_size])
+    f, problem = random_problem(rng, n, d, e_size, s_size)
+    problem = RecoveryProblem.from_signal(
+        Signal(f.params, f.values, convention), problem.missing
+    )
+    solution = l1_recover(problem)
+    values, objective, iterations = oracle_l1(problem)
+    assert solution.status == CONVERGED
+    assert solution.iterations == iterations > 1
+    assert same_bits(solution.signal.values, values)
+    assert solution.objective == objective
+    spectrum = dft(Signal(problem.params, values, problem.convention))
+    assert solution.feasibility_residual == max(
+        abs(spectrum.value_at(m) - v) for m, v in problem.observed.items()
+    )

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from zncert import spectral
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, annihilator
 from zncert.spectral import (
     ANALYST_PLUS,
+    CHARACTER_BLOCK,
     Convention,
     Signal,
+    _character_matrix,
     convert_convention,
     dft,
     idft,
     indicator,
     indicator_spectrum,
+    negation_permutation,
     signal_from_json_dict,
     signal_to_json_dict,
     support_of,
@@ -208,3 +212,30 @@ def test_signal_length_mismatch_rejected():
 def test_non_finite_values_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         Signal(GroupParams(4, 1), np.array([1, bad, 0, 2], dtype=complex))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 25, 64, 100, 257, 512, 1000])
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("block", [CHARACTER_BLOCK, 1000])
+def test_character_matrix_matches_one_shot_build(n, sign, block, monkeypatch):
+    # the block build must reproduce the one-shot expression bit for bit,
+    # also when the last block is short (n = 257 and 1000 at the default
+    # block; n = 64 and 257 at 1000 entries a block)
+    monkeypatch.setattr(spectral, "CHARACTER_BLOCK", block)
+    one_shot = np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    assert same_bits(_character_matrix(n, sign), one_shot)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (7, 1), (12, 1), (4, 2), (5, 2), (3, 3), (4, 3)])
+def test_negation_permutation_matches_point_loop(n, d):
+    p = GroupParams(n, d)
+    literal = np.array(
+        [p.flat_index(-p.from_flat(i)) for i in range(p.size)], dtype=np.int64
+    )
+    perm = negation_permutation(p)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, literal)
