@@ -9,9 +9,11 @@ the satisfied flag is decided by comparing cubes exactly; cube roots are
 taken for display only. The refined kind involves square roots and is
 decided at tolerance 1e-9 * N^d.
 
-Evaluators accept arbitrary size/energy combinations so they can be used
-as what-if calculators; only genuine signal supports are guaranteed to
-satisfy the inequalities.
+``certify_pair(E, Sigma)`` is the one pipeline for a support pair: it
+computes each exact energy once and returns all five certificates. The
+single-bound evaluators accept arbitrary size/energy combinations so they
+can be used as what-if calculators; only genuine signal supports are
+guaranteed to satisfy the inequalities.
 """
 
 from __future__ import annotations
@@ -213,6 +215,31 @@ def _refined_certificate(
     )
 
 
+def certify_pair(e: SupportSet, sigma: SupportSet) -> dict[str, UncertaintyCertificate]:
+    """Every uncertainty certificate for a support/spectrum pair.
+
+    Keyed, in this order, ``classical``, ``additive_point`` (|E| bounds
+    with energy(Sigma)), ``additive_freq``, ``refined_point`` and
+    ``refined_freq``. Each exact energy is computed once; the refined
+    certificates record both in their ``inputs``.
+    """
+    params, e_size, sigma_size = e.params, len(e), len(sigma)
+    if e_size == 0 or sigma_size == 0:
+        raise ValueError(f"E and Sigma must be nonempty, got sizes {e_size} and {sigma_size}")
+    if params != sigma.params:
+        groups = [f"Z_{p.modulus}^{p.dimension}" for p in (params, sigma.params)]
+        raise ValueError(f"E and Sigma must share one group, got {' and '.join(groups)}")
+    e_energy = energy_representation(e)
+    sigma_energy = energy_representation(sigma)
+    return {
+        "classical": classical_bound(e_size, sigma_size, params),
+        "additive_point": additive_bound(e_size, sigma_energy, params),
+        "additive_freq": additive_bound(sigma_size, e_energy, params),
+        "refined_point": _refined_certificate(e_size, sigma_size, e_energy, sigma_energy, params),
+        "refined_freq": _refined_certificate(sigma_size, e_size, sigma_energy, e_energy, params),
+    }
+
+
 def refined_bound(
     e: SupportSet, sigma: SupportSet
 ) -> tuple[UncertaintyCertificate, UncertaintyCertificate]:
@@ -222,19 +249,8 @@ def refined_bound(
     |E| (energy(Sigma) - C(E, Sigma))^{1/3}, the second by
     |Sigma| (energy(E) - C(Sigma, E))^{1/3}. Energies are exact integers.
     """
-    if len(e) == 0 or len(sigma) == 0:
-        raise ValueError("refined bound requires nonempty sets")
-    if e.params != sigma.params:
-        raise ValueError("sets must share the same group")
-    e_energy = energy_representation(e)
-    sigma_energy = energy_representation(sigma)
-    cert_e = _refined_certificate(
-        len(e), len(sigma), e_energy, sigma_energy, e.params
-    )
-    cert_sigma = _refined_certificate(
-        len(sigma), len(e), sigma_energy, e_energy, e.params
-    )
-    return cert_e, cert_sigma
+    certs = certify_pair(e, sigma)
+    return certs["refined_point"], certs["refined_freq"]
 
 
 def recovery_condition(
@@ -290,6 +306,16 @@ def recovery_condition(
     return RecoveryCertificate(lhs, rhs, inputs, variant, certifies=lhs < rhs)
 
 
+#: Labels of ``certify_pair``'s certificates in comparison-table rows.
+_COMPARISON_LABELS = {
+    "classical": "classical",
+    "additive_point": "additive-point-side",
+    "additive_freq": "additive-frequency-side",
+    "refined_point": "refined-point-side",
+    "refined_freq": "refined-frequency-side",
+}
+
+
 def bound_comparison_table(
     scenarios: list[tuple[SupportSet, SupportSet]],
 ) -> list[dict]:
@@ -301,41 +327,30 @@ def bound_comparison_table(
     """
     rows = []
     for e, sigma in scenarios:
-        nd = e.params.size
-        e_energy = energy_representation(e)
-        sigma_energy = energy_representation(sigma)
-        classical = classical_bound(len(e), len(sigma), e.params)
-        additive_e = additive_bound(len(e), sigma_energy, e.params)
-        additive_s = additive_bound(len(sigma), e_energy, e.params)
-        refined_e, refined_s = refined_bound(e, sigma)
-        candidates = {
-            "classical": classical.rhs,
-            "additive-point-side": additive_e.rhs,
-            "additive-frequency-side": additive_s.rhs,
-            "refined-point-side": refined_e.rhs,
-            "refined-frequency-side": refined_s.rhs,
+        certs = certify_pair(e, sigma)
+        refined_e, refined_s = certs["refined_point"], certs["refined_freq"]
+        finite = {
+            _COMPARISON_LABELS[name]: c.rhs
+            for name, c in certs.items()
+            if not math.isnan(c.rhs)
         }
-        finite = {k: v for k, v in candidates.items() if not math.isnan(v)}
         sharpest = min(finite, key=lambda k: (finite[k], k))
         rows.append(
             {
-                "N_power_d": nd,
+                "N_power_d": e.params.size,
                 "E_size": len(e),
                 "sigma_size": len(sigma),
-                "E_energy": e_energy,
-                "sigma_energy": sigma_energy,
-                "classical_rhs": classical.rhs,
-                "additive_rhs_point": additive_e.rhs,
+                "E_energy": refined_e.inputs["E_energy"],
+                "sigma_energy": refined_e.inputs["sigma_energy"],
+                "classical_rhs": certs["classical"].rhs,
+                "additive_rhs_point": certs["additive_point"].rhs,
                 "refined_rhs_point": refined_e.rhs,
                 "correction_point": refined_e.correction,
-                "additive_rhs_freq": additive_s.rhs,
+                "additive_rhs_freq": certs["additive_freq"].rhs,
                 "refined_rhs_freq": refined_s.rhs,
                 "correction_freq": refined_s.correction,
                 "sharpest": sharpest,
-                "all_satisfied": all(
-                    c.satisfied
-                    for c in (classical, additive_e, additive_s, refined_e, refined_s)
-                ),
+                "all_satisfied": all(c.satisfied for c in certs.values()),
             }
         )
     return rows

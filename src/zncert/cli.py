@@ -12,12 +12,7 @@ from ._version import __version__
 from .lattice import GroupParams, load_set
 from .spectral import dft, load_signal, support_of
 from .energy import energy_certificate
-from .bounds import (
-    additive_bound,
-    classical_bound,
-    refined_bound,
-)
-from .energy import energy_representation
+from .bounds import certify_pair
 from .gowers import conjecture_scan, gowers_norm
 from .recovery import SolverConfig, l1_recover, least_squares_recover, load_problem
 from .harness import (
@@ -108,13 +103,11 @@ def bounds(
         sigma = _load(load_set, sigma_path, "--Sigma")
     else:
         raise click.UsageError("provide --signal or both --E and --Sigma")
-    params = e.params
-    certs = [
-        classical_bound(len(e), len(sigma), params),
-        additive_bound(len(e), energy_representation(sigma), params),
-        additive_bound(len(sigma), energy_representation(e), params),
-        *refined_bound(e, sigma),
-    ]
+    try:
+        certs = list(certify_pair(e, sigma).values())
+    except ValueError as exc:
+        option = "--signal" if signal_path else "--E/--Sigma"
+        raise click.BadParameter(str(exc), param_hint=option) from None
     if fmt == "csv":
         _emit(certificates_to_csv(certs), output)
     else:

@@ -27,18 +27,8 @@ from .lattice import (
     shift_set,
 )
 from .spectral import ANALYST_PLUS, Signal, dft, indicator, support_of
-from .energy import (
-    energy_growth_certificate,
-    energy_quadruple,
-    energy_representation,
-    grid_energy_closed_form,
-)
-from .bounds import (
-    additive_bound,
-    classical_bound,
-    recovery_condition,
-    refined_bound,
-)
+from .energy import energy_growth_certificate, grid_energy_closed_form
+from .bounds import certify_pair, recovery_condition
 from .recovery import (
     RecoveryProblem,
     l1_objective_profile,
@@ -176,6 +166,15 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def _report(
+    scenario: str, config: dict, rows: list[dict], start: float, failures: int, **summary
+) -> RunReport:
+    """A finished run: pass/fail counts over ``rows``, the runner's own
+    summary fields, and the wall time since ``start``."""
+    summary = {"pass_count": len(rows) - failures, "fail_count": failures, **summary}
+    return RunReport(scenario, config, rows, summary, wall_time_s=time.perf_counter() - start)
+
+
 def run_example1(
     m_list: tuple[int, ...] = (2, 3, 4),
     n_list: tuple[int, ...] = (5, 7, 9, 11),
@@ -202,13 +201,13 @@ def run_example1(
     for m, n in pairs:
         params = GroupParams(n, 2)
         grid = make_interval_grid(params, m)
-        exact = energy_quadruple(grid)
         closed = grid_energy_closed_form(m, 2)
         sigma = support_of(dft(indicator(grid)))
-        cert_point, cert_freq = refined_bound(grid, sigma)
-        additive_freq = additive_bound(len(sigma), exact, params)
+        certs = certify_pair(grid, sigma)
+        cert_point, cert_freq = certs["refined_point"], certs["refined_freq"]
+        exact = cert_point.inputs["E_energy"]
         mu = 1.0 - params.size / (len(grid) * len(sigma))
-        margin = additive_freq.rhs - cert_freq.rhs
+        margin = certs["additive_freq"].rhs - cert_freq.rhs
         ok = (
             exact == closed
             and margin > 0.0
@@ -226,21 +225,16 @@ def run_example1(
                 "closed_form": closed,
                 "formula_matches": exact == closed,
                 "mu": mu,
-                "additive_rhs": additive_freq.rhs,
+                "additive_rhs": certs["additive_freq"].rhs,
                 "refined_rhs": cert_freq.rhs,
                 "improvement_margin": margin,
                 "refined_rhs_point_side": cert_point.rhs,
                 "ok": ok,
             }
         )
-    summary = {
-        "pass_count": len(rows) - failures,
-        "fail_count": failures,
-        "min_slack": min(r["improvement_margin"] for r in rows),
-    }
-    report = RunReport("example1", {"m_list": list(m_list), "N_list": list(n_list)}, rows, summary)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    config = {"m_list": list(m_list), "N_list": list(n_list)}
+    min_slack = min(r["improvement_margin"] for r in rows)
+    return _report("example1", config, rows, start, failures, min_slack=min_slack)
 
 
 #: The four-point walkthrough: signal, its pinned spectrum, and the
@@ -300,16 +294,8 @@ def run_example2() -> RunReport:
         }
     )
     failures = sum(1 for r in rows if not r["ok"])
-    summary = {
-        "pass_count": len(rows) - failures,
-        "fail_count": failures,
-        "min_slack": min(
-            value - (3.0 + 2.0 * abs(s)) for value, s in zip(profile, steps)
-        ),
-    }
-    report = RunReport("example2", {}, rows, summary)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    min_slack = min(value - (3.0 + 2.0 * abs(s)) for value, s in zip(profile, steps))
+    return _report("example2", {}, rows, start, failures, min_slack=min_slack)
 
 
 def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
@@ -331,25 +317,12 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
         f = random_signal(params, rng)
         e = support_of(f)
         sigma = support_of(dft(f))
-        e_energy = energy_representation(e)
-        sigma_energy = energy_representation(sigma)
-        certs = {
-            "classical": classical_bound(len(e), len(sigma), params),
-            "additive_point": additive_bound(len(e), sigma_energy, params),
-            "additive_freq": additive_bound(len(sigma), e_energy, params),
-        }
-        refined_point, refined_freq = refined_bound(e, sigma)
-        certs["refined_point"] = refined_point
-        certs["refined_freq"] = refined_freq
+        certs = certify_pair(e, sigma)
         ok = all(c.satisfied for c in certs.values())
         failures += 0 if ok else 1
-        min_slack["classical"] = min(min_slack["classical"], certs["classical"].slack)
-        min_slack["additive"] = min(
-            min_slack["additive"], certs["additive_point"].slack, certs["additive_freq"].slack
-        )
-        min_slack["refined"] = min(
-            min_slack["refined"], refined_point.slack, refined_freq.slack
-        )
+        for cert in certs.values():
+            min_slack[cert.kind] = min(min_slack[cert.kind], cert.slack)
+        inputs = certs["refined_point"].inputs
         rows.append(
             {
                 "trial": index,
@@ -357,30 +330,21 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
                 "d": d,
                 "E_size": len(e),
                 "sigma_size": len(sigma),
-                "E_energy": e_energy,
-                "sigma_energy": sigma_energy,
-                "slack_classical": certs["classical"].slack,
-                "slack_additive_point": certs["additive_point"].slack,
-                "slack_additive_freq": certs["additive_freq"].slack,
-                "slack_refined_point": refined_point.slack,
-                "slack_refined_freq": refined_freq.slack,
+                "E_energy": inputs["E_energy"],
+                "sigma_energy": inputs["sigma_energy"],
+                **{f"slack_{name}": cert.slack for name, cert in certs.items()},
                 "ok": ok,
             }
         )
-    summary = {
-        "pass_count": trials - failures,
-        "fail_count": failures,
-        "min_slack": min(min_slack.values()),
-        "min_slack_by_kind": min_slack,
-    }
-    report = RunReport(
+    return _report(
         "soundness-sweep",
         {"trials": trials, "settings": [list(s) for s in settings], "seed": cfg.seed},
         rows,
-        summary,
+        start,
+        failures,
+        min_slack=min(min_slack.values()),
+        min_slack_by_kind=min_slack,
     )
-    report.wall_time_s = time.perf_counter() - start
-    return report
 
 
 #: Equal-size missing sets with very different additive structure, used to
@@ -495,24 +459,19 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     high_certified = sum(
         1 for r in contrast_rows if r["contrast"] == "high-energy" and r["proof_final_certifies"]
     )
-    summary = {
-        "pass_count": trials + len(contrast_rows) - failures,
-        "fail_count": failures,
-        "min_slack": min_cert_slack,
-        "crosstab": crosstab,
-        "contrast": {
-            "low_energy_certified": low_certified,
-            "high_energy_certified": high_certified,
-        },
-    }
-    report = RunReport(
+    return _report(
         "recovery-sweep",
         {"trials": trials, "settings": [list(s) for s in settings], "seed": cfg.seed},
         rows + contrast_rows,
-        summary,
+        start,
+        failures,
+        min_slack=min_cert_slack,
+        crosstab=crosstab,
+        contrast={
+            "low_energy_certified": low_certified,
+            "high_energy_certified": high_certified,
+        },
     )
-    report.wall_time_s = time.perf_counter() - start
-    return report
 
 
 def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport:
@@ -538,16 +497,14 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
                 f = indicator(coset)
                 e = support_of(f)
                 sigma = support_of(dft(f))
-                classical = classical_bound(len(e), len(sigma), params)
-                additive = additive_bound(len(e), energy_representation(sigma), params)
-                refined_point, refined_freq = refined_bound(e, sigma)
+                certs = certify_pair(e, sigma)
+                refined_point, refined_freq = certs["refined_point"], certs["refined_freq"]
                 tol = 1e-9 * params.size
-                ok = (
-                    abs(classical.rhs - params.size) <= tol
-                    and abs(additive.rhs - params.size) <= tol
-                    and abs(refined_point.rhs - params.size) <= tol
-                    and abs(refined_freq.rhs - params.size) <= tol
-                    and abs(refined_point.correction) <= 1e-12
+                ok = all(
+                    abs(certs[name].rhs - params.size) <= tol
+                    for name in ("classical", "additive_point", "refined_point", "refined_freq")
+                ) and (
+                    abs(refined_point.correction) <= 1e-12
                     and abs(refined_freq.correction) <= 1e-12
                 )
                 failures += 0 if ok else 1
@@ -556,8 +513,8 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
                         "N": n,
                         "subgroup_size": len(subgroup),
                         "coset_rep": list(y.coords),
-                        "classical_rhs": classical.rhs,
-                        "additive_rhs": additive.rhs,
+                        "classical_rhs": certs["classical"].rhs,
+                        "additive_rhs": certs["additive_point"].rhs,
                         "refined_rhs_point": refined_point.rhs,
                         "refined_rhs_freq": refined_freq.rhs,
                         "correction_point": refined_point.correction,
@@ -565,11 +522,6 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
                         "ok": ok,
                     }
                 )
-    summary = {
-        "pass_count": len(rows) - failures,
-        "fail_count": failures,
-        "min_slack": 0.0,
-    }
-    report = RunReport("extremal-cosets", {"N_list": list(n_list)}, rows, summary)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return _report(
+        "extremal-cosets", {"N_list": list(n_list)}, rows, start, failures, min_slack=0.0
+    )

@@ -218,7 +218,15 @@ def signal_from_json_dict(data: dict) -> Signal:
         conv_data.get("normalization", "unitary"),
         conv_data.get("exponent_sign", "minus-forward"),
     )
-    values = np.array([complex(re, im) for re, im in data["values"]])
+    entries = data["values"]
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(isinstance(x, (int, float)) for x in entry)
+        ):
+            raise ValueError(f"value {i} {entry!r} is not an [re, im] pair of numbers")
+    values = np.array([complex(re, im) for re, im in entries])
     return Signal(params, values, convention, side=data.get("side", TIME))
 
 

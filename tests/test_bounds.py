@@ -1,18 +1,29 @@
 """Certificate evaluators: classical, additive, refined, and the recovery
 condition, with golden values cross-checked by independent scalar arithmetic."""
 
+import dataclasses
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, shift_set
+from zncert import bounds
+from zncert.lattice import (
+    GroupParams,
+    SupportSet,
+    all_cyclic_subgroups,
+    make_cyclic_subgroup,
+    make_interval_grid,
+    shift_set,
+)
 from zncert.spectral import Signal, dft, indicator, support_of
 from zncert.energy import energy_growth_certificate, energy_representation
 from zncert.bounds import (
+    _refined_certificate,
     additive_bound,
     bound_comparison_table,
+    certify_pair,
     classical_bound,
     correction_term,
     recovery_condition,
@@ -285,3 +296,90 @@ def test_bound_comparison_table_coset_sweep():
         assert row["classical_rhs"] == pytest.approx(nd, abs=1e-9)
         assert row["refined_rhs_point"] == pytest.approx(nd, abs=1e-9)
         assert row["correction_point"] == pytest.approx(0.0, abs=1e-12)
+
+
+CERTIFICATE_NAMES = ["classical", "additive_point", "additive_freq", "refined_point", "refined_freq"]
+
+
+def _bits(cert):
+    """Every field of a certificate, floats as their exact hex digits."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (getattr(cert, f.name) for f in dataclasses.fields(cert))
+    )
+
+
+def _certificates_by_hand(e, sigma):
+    p = e.params
+    e_energy, sigma_energy = energy_representation(e), energy_representation(sigma)
+    return {
+        "classical": classical_bound(len(e), len(sigma), p),
+        "additive_point": additive_bound(len(e), sigma_energy, p),
+        "additive_freq": additive_bound(len(sigma), e_energy, p),
+        "refined_point": _refined_certificate(len(e), len(sigma), e_energy, sigma_energy, p),
+        "refined_freq": _refined_certificate(len(sigma), len(e), sigma_energy, e_energy, p),
+    }
+
+
+def _certify_pair_cases():
+    rng = np.random.default_rng(53)
+    for n, d in ((4, 1), (9, 1), (16, 1), (4, 2), (5, 2)):
+        for _ in range(4):
+            _, e, sigma = random_support_pair(rng, n, d)
+            yield f"random-Z{n}^{d}", e, sigma
+    for p, generator in ((GroupParams(8, 1), [2]), (GroupParams(12, 1), [3]), (GroupParams(4, 2), [1, 2])):
+        coset = shift_set(make_cyclic_subgroup(p, p.vector(generator)), p.vector([1] * p.dimension))
+        yield f"coset-Z{p.modulus}^{p.dimension}", coset, support_of(dft(indicator(coset)))
+    for m, n in ((2, 5), (3, 7), (4, 9)):
+        grid = make_interval_grid(GroupParams(n, 2), m)
+        yield f"grid-m{m}-Z{n}^2", grid, support_of(dft(indicator(grid)))
+
+
+def test_certify_pair_matches_certificates_built_by_hand():
+    for label, e, sigma in _certify_pair_cases():
+        certs = certify_pair(e, sigma)
+        assert list(certs) == CERTIFICATE_NAMES, label
+        expected = _certificates_by_hand(e, sigma)
+        for name in CERTIFICATE_NAMES:
+            assert _bits(certs[name]) == _bits(expected[name]), (label, name)
+        inputs = certs["refined_point"].inputs
+        assert inputs["E_energy"] == energy_representation(e), label
+        assert inputs["sigma_energy"] == energy_representation(sigma), label
+
+
+def test_certify_pair_computes_each_energy_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return energy_representation(a)
+
+    monkeypatch.setattr(bounds, "energy_representation", counting)
+    for _, e, sigma in _certify_pair_cases():
+        calls.clear()
+        certify_pair(e, sigma)
+        assert len(calls) == 2 and calls[0] is e and calls[1] is sigma
+        calls.clear()
+        refined_bound(e, sigma)
+        assert len(calls) == 2
+
+
+def test_refined_bound_returns_the_refined_entries_of_certify_pair():
+    for label, e, sigma in _certify_pair_cases():
+        certs = certify_pair(e, sigma)
+        point, freq = refined_bound(e, sigma)
+        assert _bits(point) == _bits(certs["refined_point"]), label
+        assert _bits(freq) == _bits(certs["refined_freq"]), label
+
+
+def test_certify_pair_rejects_unusable_pairs():
+    p4, p5 = GroupParams(4, 1), GroupParams(5, 1)
+    a = SupportSet.from_coords(p4, [(0,), (2,)])
+    b = SupportSet.from_coords(p5, [(0,), (1,), (2,)])
+    for check in (certify_pair, refined_bound):
+        with pytest.raises(ValueError, match=r"share one group, got Z_4\^1 and Z_5\^1"):
+            check(a, b)
+        with pytest.raises(ValueError, match="nonempty, got sizes 0 and 2"):
+            check(SupportSet(p4, ()), a)
+        with pytest.raises(ValueError, match="nonempty, got sizes 2 and 0"):
+            check(a, SupportSet(p4, ()))

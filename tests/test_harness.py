@@ -222,8 +222,14 @@ SIGNAL_4 = {"N": 4, "d": 1, "values": [[1, 0], [0, 0], [0, 0], [2, 0]]}
         (["recover"], "--problem", {**SIGNAL_4, "missing": [[5]]}, "missing frequency 0 [5] is not a point of Z_4^1"),
         (["recover"], "--problem", {**SIGNAL_4, "values": [[1, 0]] * 3, "missing": [[1]]}, "expected 4 values, got 3"),
         (["recover"], "--problem", {"N": 4, "missing": [[1]]}, "missing key 'd'"),
+        (["bounds"], "--signal", {**SIGNAL_4, "values": [1, 2, 3, 4]}, "value 0 1 is not an [re, im] pair of numbers"),
+        (["gowers"], "--signal", {**SIGNAL_4, "values": [[1, 0], [0, 0], [0], [2, 0]]}, "value 2 [0] is not an [re, im] pair of numbers"),
+        (["recover"], "--problem", {**SIGNAL_4, "values": [[1, 0], [0, 0], [0, 0], "2"], "missing": [[1]]}, "value 3 '2' is not an [re, im] pair of numbers"),
     ],
-    ids=["bounds-count", "bounds-key", "gowers-count", "gowers-key", "recover-missing", "recover-count", "recover-key"],
+    ids=[
+        "bounds-count", "bounds-key", "gowers-count", "gowers-key", "recover-missing", "recover-count", "recover-key",
+        "bounds-scalar", "gowers-short-pair", "recover-string",
+    ],
 )
 def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, option, data, message):
     path = tmp_path / "bad.json"
@@ -232,6 +238,36 @@ def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, optio
     assert result.exit_code == 2
     assert not isinstance(result.exception, (ValueError, KeyError))  # no traceback
     assert f"Invalid value for {option}: {message}" in result.output
+
+
+@pytest.mark.parametrize(
+    "files,message",
+    [
+        (
+            {"--E": {"N": 4, "d": 1, "members": [[0], [2]]}, "--Sigma": {"N": 5, "d": 1, "members": [[0]]}},
+            "Invalid value for --E/--Sigma: E and Sigma must share one group, got Z_4^1 and Z_5^1",
+        ),
+        (
+            {"--E": {"N": 4, "d": 1, "members": []}, "--Sigma": {"N": 4, "d": 1, "members": [[0], [2]]}},
+            "Invalid value for --E/--Sigma: E and Sigma must be nonempty, got sizes 0 and 2",
+        ),
+        (
+            {"--signal": {**SIGNAL_4, "values": [[0, 0]] * 4}},
+            "Invalid value for --signal: E and Sigma must be nonempty, got sizes 0 and 0",
+        ),
+    ],
+    ids=["mismatched-groups", "empty-set", "zero-signal"],
+)
+def test_cli_bounds_rejects_unusable_pairs(tmp_path, files, message):
+    args = ["bounds"]
+    for option, data in files.items():
+        path = tmp_path / f"{option.strip('-')}.json"
+        path.write_text(json.dumps(data))
+        args += [option, str(path)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, ValueError)  # no traceback
+    assert message in result.output
 
 
 def test_cli_recover(tmp_path):
