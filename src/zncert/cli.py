@@ -76,7 +76,10 @@ def main() -> None:
 @click.option("--output", type=click.Path(), default=None)
 def energy(set_path: str, method: str, output: str | None) -> None:
     """Additive energy of a set, as an exact certificate."""
-    cert = energy_certificate(_load(load_set, set_path, "--set"), method)
+    a = _load(load_set, set_path, "--set")
+    if len(a) == 0:
+        raise click.BadParameter("the set has no members", param_hint="--set")
+    cert = energy_certificate(a, method)
     _emit(canonical_json(cert.to_json_dict()), output)
 
 
@@ -118,7 +121,7 @@ def bounds(
 @click.option("--problem", "problem_path", required=True, type=click.Path(exists=True))
 @click.option("--method", type=click.Choice(["l1", "lsq"]), default="l1", show_default=True)
 @click.option("--support", "support_path", type=click.Path(exists=True), default=None, help="Candidate support set (lsq).")
-@click.option("--max-iter", type=int, default=SolverConfig.max_iter, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=SolverConfig.max_iter, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def recover(
     problem_path: str,
@@ -140,7 +143,7 @@ def recover(
 
 @main.command()
 @click.option("--signal", "signal_path", required=True, type=click.Path(exists=True))
-@click.option("--k", type=int, default=2, show_default=True)
+@click.option("--k", type=click.IntRange(2, 3), default=2, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def gowers(signal_path: str, k: int, output: str | None) -> None:
     """Uniformity norm of order k, by the full cube-average sum."""
@@ -149,16 +152,16 @@ def gowers(signal_path: str, k: int, output: str | None) -> None:
 
 
 @main.command("conjecture-scan")
-@click.option("--N", "modulus", type=int, required=True)
-@click.option("--d", "dimension", type=int, default=1, show_default=True)
-@click.option("--k", type=int, default=2, show_default=True)
+@click.option("--N", "modulus", type=click.IntRange(min=2), required=True)
+@click.option("--d", "dimension", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--k", type=click.IntRange(2, 3), default=2, show_default=True)
 @click.option(
     "--sampler",
     type=click.Choice(["random", "exhaustive-small"]),
     default="random",
     show_default=True,
 )
-@click.option("--trials", type=int, default=500, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def conjecture_scan_cmd(
@@ -189,7 +192,7 @@ def reproduce(scenario: str, fmt: str, output: str | None, check: bool) -> None:
 
 @main.command()
 @click.argument("kind", type=click.Choice(["soundness", "recovery"]))
-@click.option("--trials", type=int, default=None, help="Trial count (default per sweep).")
+@click.option("--trials", type=click.IntRange(min=1), default=None, help="Trial count (default per sweep).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--output", type=click.Path(), default=None)

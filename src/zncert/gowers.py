@@ -193,6 +193,8 @@ def conjecture_scan(
     "random" draws complex Gaussian values on uniformly random supports.
     Both directions of each sampled signal are scanned.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     report = ConjectureScanReport(params, k, sampler, trials, seed)
     if sampler == "exhaustive-small":
         if params.dimension != 1 or params.modulus > 6:

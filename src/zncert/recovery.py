@@ -10,8 +10,11 @@ of signals whose spectra match the observations. The projection is one
 transform round trip with the observed coordinates overwritten; it is
 performed in the unitary convention, to which the solver converts
 internally regardless of the problem's own convention. The transform is
-the dense character-matrix sum of ``spectral``; each solve builds its
-forward and inverse matrices once and drops them when it returns.
+the dense character-matrix sum of ``spectral``. Each solve builds the
+minus-sign matrix once (half of it, mirrored), derives the plus-sign one
+as its conjugate, and drops both when it returns; nothing is cached
+across solves. The observed indices and values are gathered once per
+solve, and the iteration scales and thresholds in place.
 
 Problems are stored as row-major arrays (observed values and an observed
 mask), and the least-squares system is built from them in one pass.
@@ -35,7 +38,7 @@ from .spectral import (
     Signal,
     UNITARY_MINUS,
     _apply_axis_transform,
-    _character_matrix,
+    _character_matrices,
     dft,
     negation_permutation,
     signal_from_json_dict,
@@ -195,8 +198,12 @@ def _unitary_constraints(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarr
 
 def _soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
     mag = np.abs(values)
-    shrink = np.maximum(mag - tau, 0.0)
-    return values * np.divide(shrink, mag, out=np.zeros_like(mag), where=mag > 0)
+    ratio = mag - tau
+    np.maximum(ratio, 0.0, out=ratio)
+    # Where mag is 0 the ratio keeps max(-tau, 0) instead of 0; the value
+    # there is a signed zero, which a finite ratio scales to the same bits.
+    np.divide(ratio, mag, out=ratio, where=mag > 0)
+    return values * ratio
 
 
 def l1_recover(
@@ -218,29 +225,30 @@ def l1_recover(
     scale = params.size**-0.5
     # Built once per solve and released with it: a cache kept across solves
     # would hold every size's matrices for the life of the process.
-    w = {sign: _character_matrix(params.modulus, sign) for sign in (-1, 1)}
+    w = _character_matrices(params.modulus)
+    observed = np.flatnonzero(observed_mask)
+    observed_target = target[observed]
 
-    def forward(v: np.ndarray) -> np.ndarray:
-        return _apply_axis_transform(v, params, w[-1]) * scale
-
-    def inverse(v: np.ndarray) -> np.ndarray:
-        return _apply_axis_transform(v, params, w[1]) * scale
+    def transform(v: np.ndarray, sign: int) -> np.ndarray:
+        out = _apply_axis_transform(v, params, w[sign])
+        out *= scale
+        return out
 
     def project(g: np.ndarray) -> np.ndarray:
-        spec = forward(g)
-        spec[observed_mask] = target[observed_mask]
-        return inverse(spec)
+        spec = transform(g, -1)
+        spec[observed] = observed_target
+        return transform(spec, 1)
 
     def finish(z: np.ndarray, iterations: int, status: str, **extra) -> RecoverySolution:
         # dft(z) under the problem's convention, from the matrices at hand
         spectrum = _apply_axis_transform(z, params, w[problem.convention.forward_sign])
         spectrum *= problem.convention.forward_scale(params)
-        observed = problem.mask
+        mask = problem.mask
         return RecoverySolution(
             signal=Signal(params, z, problem.convention, side=TIME),
-            objective=float(np.sum(np.abs(z))),
+            objective=float(np.abs(z).sum()),
             feasibility_residual=float(
-                np.max(np.abs(spectrum[observed] - problem.target[observed]), initial=0.0)
+                np.abs(spectrum[mask] - problem.target[mask]).max(initial=0.0)
             ),
             iterations=iterations,
             status=status,
@@ -248,7 +256,7 @@ def l1_recover(
         )
 
     zero_fill = project(np.zeros(params.size, dtype=np.complex128))
-    problem_scale = float(np.max(np.abs(zero_fill)))
+    problem_scale = float(np.abs(zero_fill).max())
     if len(problem.missing) == 0:
         return finish(zero_fill, 1, CONVERGED, method="direct-inverse")
     if problem_scale == 0.0:
@@ -265,16 +273,18 @@ def l1_recover(
     for iteration in range(1, cfg.max_iter + 1):
         y = _soft_threshold(x, tau)
         z = project(2.0 * y - x)
-        x += z - y
-        gap = float(np.max(np.abs(y - z)))
-        objective = float(np.sum(np.abs(z)))
+        step = z - y
+        x += step
+        # |z - y| and |y - z| have the same bits
+        gap = float(np.abs(step).max())
+        objective = float(np.abs(z).sum())
         if gap <= gap_tol and abs(objective - previous_objective) <= cfg.obj_tol * max(
             1.0, objective
         ):
             return finish(z, iteration, CONVERGED, gap=gap, tau=tau)
         previous_objective = objective
 
-    prox_objective = float(np.sum(np.abs(_soft_threshold(x, tau))))
+    prox_objective = float(np.abs(_soft_threshold(x, tau)).sum())
     near_degenerate = abs(prox_objective - previous_objective) < 10.0 * cfg.obj_tol
     return finish(
         z,

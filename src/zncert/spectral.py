@@ -6,8 +6,12 @@ exponent sign in the forward transform. The transform is the defining
 dense sum: the N x N character matrix applied along each axis, evaluated
 exactly (up to floating point) rather than by an FFT, whose different
 roundoff would move report fields printed to 12 significant digits.
-Each transform builds its matrix once, in bounded row blocks; the l1
-solver builds its pair once per solve and reuses it across iterations.
+Each transform builds its matrix once, in bounded row blocks. The matrix
+is symmetric bit for bit (each entry is a function of m*x), so only the
+entries on and above each block's diagonal are computed and the rest are
+mirrored. The transform applies it along each axis with one BLAS product.
+Nothing is cached between calls; the l1 solver builds one matrix per solve
+and derives the other sign from it.
 """
 
 from __future__ import annotations
@@ -107,24 +111,53 @@ CHARACTER_BLOCK = 1 << 14
 def _character_matrix(n: int, sign: int) -> np.ndarray:
     """The character matrix W[m, x] = exp(sign*2*pi*i*m*x/n).
 
-    Rows are written in blocks into one preallocated array; every entry is
-    the same expression, so the bits match a one-shot build.
+    Rows are written in blocks into one preallocated array. Each block
+    computes its columns from its first row on, by the one-shot expression,
+    and mirrors the part right of the block into the transpose: an entry
+    depends only on the integer m*x, so W is symmetric and the bits match
+    a one-shot build.
     """
     w = np.empty((n, n), dtype=np.complex128)
     cols = np.arange(n)
     step = max(1, CHARACTER_BLOCK // n)
     for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        np.exp(sign * 2j * np.pi * np.outer(rows, cols) / n, out=w[start : start + step])
+        stop = min(start + step, n)
+        np.exp(
+            sign * 2j * np.pi * np.outer(cols[start:stop], cols[start:]) / n,
+            out=w[start:stop, start:],
+        )
+        w[stop:, start:stop] = w[start:stop, stop:].T
     return w
 
 
+def _character_matrices(n: int) -> dict[int, np.ndarray]:
+    """Both signs' character matrices, keyed by sign, from one build.
+
+    The plus-sign matrix is the conjugate of the minus-sign one except for
+    the sign of the imaginary zero at m*x = 0, which adding 0.0 makes
+    positive, so its bits match ``_character_matrix(n, 1)``.
+    """
+    minus = _character_matrix(n, -1)
+    plus = np.conj(minus)
+    plus += 0.0
+    return {-1: minus, 1: plus}
+
+
 def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray) -> np.ndarray:
-    """Apply a character matrix along every axis of the (N,)*d grid."""
+    """Apply a character matrix along every axis of the (N,)*d grid.
+
+    Each axis is one BLAS product of W with the view that brings that axis
+    to the front (the view ``moveaxis`` makes), the product ``tensordot``
+    would form, so the bits match it. Returns a new array.
+    """
     n, d = params.modulus, params.dimension
+    if d == 1:
+        return w @ values
     t = values.reshape((n,) * d)
     for axis in range(d):
-        t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
+        front = t.transpose(axis, *range(axis), *range(axis + 1, d))
+        back = (*range(1, axis + 1), 0, *range(axis + 1, d))
+        t = np.dot(w, front.reshape(n, -1)).reshape(front.shape).transpose(back)
     return t.reshape(-1)
 
 

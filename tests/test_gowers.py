@@ -139,3 +139,10 @@ def test_scan_validation():
         conjecture_scan(GroupParams(7, 1), 2, sampler="exhaustive-small")
     with pytest.raises(ValueError):
         conjecture_scan(GroupParams(5, 1), 2, sampler="antigravity")
+
+
+def test_scan_rejects_negative_trials():
+    for sampler in ("random", "exhaustive-small"):
+        with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
+            conjecture_scan(GroupParams(5, 1), 2, sampler=sampler, trials=-3)
+    assert conjecture_scan(GroupParams(5, 1), 2, trials=0).trials == 0

@@ -270,6 +270,48 @@ def test_cli_bounds_rejects_unusable_pairs(tmp_path, files, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize("method", ["representation", "quadruple"])
+def test_cli_energy_rejects_an_empty_set(tmp_path, method):
+    set_path = tmp_path / "empty.json"
+    set_path.write_text(json.dumps({"N": 4, "d": 1, "members": []}))
+    result = CliRunner().invoke(main, ["energy", "--set", str(set_path), "--method", method])
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, ValueError)  # no traceback
+    assert "Invalid value for --set: the set has no members" in result.output
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["gowers", "--k", "1"], "--k"),
+        (["gowers", "--k", "4"], "--k"),
+        (["conjecture-scan", "--N", "5", "--k", "1"], "--k"),
+        (["conjecture-scan", "--N", "5", "--k", "4"], "--k"),
+        (["conjecture-scan", "--N", "1"], "--N"),
+        (["conjecture-scan", "--N", "5", "--d", "0"], "--d"),
+        (["conjecture-scan", "--N", "5", "--trials", "0"], "--trials"),
+        (["conjecture-scan", "--N", "5", "--trials", "-3"], "--trials"),
+        (["recover", "--max-iter", "-2"], "--max-iter"),
+        (["recover", "--max-iter", "0"], "--max-iter"),
+        (["sweep", "soundness", "--trials", "-1"], "--trials"),
+        (["sweep", "recovery", "--trials", "0"], "--trials"),
+    ],
+    ids=[
+        "gowers-k1", "gowers-k4", "scan-k1", "scan-k4", "scan-N1", "scan-d0", "scan-trials0",
+        "scan-trials-3", "recover-max-iter-2", "recover-max-iter0", "sweep-soundness-trials-1",
+        "sweep-recovery-trials0",
+    ],
+)
+def test_cli_rejects_out_of_range_options(tmp_path, args, option):
+    _, signal_path, problem_path, _ = _write_fixture_files(tmp_path)
+    files = {"gowers": ["--signal", str(signal_path)], "recover": ["--problem", str(problem_path)]}
+    result = CliRunner().invoke(main, [*args, *files.get(args[0], [])])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and f"Invalid value for '{option}'" in errors[0]
+
+
 def test_cli_recover(tmp_path):
     _, _, problem_path, support_path = _write_fixture_files(tmp_path)
     runner = CliRunner()

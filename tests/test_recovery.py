@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zncert.lattice import GroupParams, SupportSet
 from zncert.spectral import ANALYST_PLUS, UNITARY_MINUS, Convention, Signal, dft, idft
@@ -12,7 +13,6 @@ from zncert.recovery import (
     RecoveryProblem,
     SolverConfig,
     _least_squares_system,
-    _soft_threshold,
     concentration_check,
     l1_objective_profile,
     l1_recover,
@@ -360,10 +360,17 @@ def literal_axis_transform(values, params, sign):
     return t.reshape(-1)
 
 
+def oracle_soft_threshold(values, tau):
+    """Complex soft-thresholding as first written."""
+    mag = np.abs(values)
+    shrink = np.maximum(mag - tau, 0.0)
+    return values * np.divide(shrink, mag, out=np.zeros_like(mag), where=mag > 0)
+
+
 def oracle_l1(problem, cfg=SolverConfig()):
     """The Douglas-Rachford loop as first written, constraints read from the
     mapping one frequency at a time and both matrices rebuilt on every call.
-    Returns (signal values, objective, iterations) of a converged solve."""
+    Returns (signal values, objective, iterations, gap) of a converged solve."""
     params = problem.params
     factor = problem.convention.forward_scale(params) * math.sqrt(params.size)
     target = np.zeros(params.size, dtype=np.complex128)
@@ -386,7 +393,7 @@ def oracle_l1(problem, cfg=SolverConfig()):
     x = zero_fill.copy()
     previous_objective = math.inf
     for iteration in range(1, cfg.max_iter + 1):
-        y = _soft_threshold(x, tau)
+        y = oracle_soft_threshold(x, tau)
         z = project(2.0 * y - x)
         x += z - y
         gap = float(np.max(np.abs(y - z)))
@@ -394,12 +401,14 @@ def oracle_l1(problem, cfg=SolverConfig()):
         if gap <= gap_tol and abs(objective - previous_objective) <= cfg.obj_tol * max(
             1.0, objective
         ):
-            return z, objective, iteration
+            return z, objective, iteration, gap
         previous_objective = objective
     raise AssertionError("oracle did not converge")
 
 
-@pytest.mark.parametrize("n,d,e_size,s_size", [(16, 1, 2, 3), (31, 1, 3, 4), (6, 2, 2, 5), (8, 2, 3, 6)])
+@pytest.mark.parametrize(
+    "n,d,e_size,s_size", [(16, 1, 2, 3), (31, 1, 3, 4), (6, 2, 2, 5), (8, 2, 3, 6), (4, 3, 2, 3)]
+)
 @pytest.mark.parametrize("convention", [UNITARY_MINUS, ANALYST_PLUS])
 def test_l1_matches_per_call_matrix_oracle(n, d, e_size, s_size, convention):
     rng = np.random.default_rng([n, d, e_size])
@@ -408,12 +417,42 @@ def test_l1_matches_per_call_matrix_oracle(n, d, e_size, s_size, convention):
         Signal(f.params, f.values, convention), problem.missing
     )
     solution = l1_recover(problem)
-    values, objective, iterations = oracle_l1(problem)
+    values, objective, iterations, gap = oracle_l1(problem)
     assert solution.status == CONVERGED
     assert solution.iterations == iterations > 1
+    assert solution.diagnostics["gap"] == gap
     assert same_bits(solution.signal.values, values)
     assert solution.objective == objective
     spectrum = dft(Signal(problem.params, values, problem.convention))
     assert solution.feasibility_residual == max(
         abs(spectrum.value_at(m) - v) for m, v in problem.observed.items()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(4, 1), (9, 1), (16, 1), (3, 2), (5, 2), (3, 3)]),
+    st.sampled_from(
+        [Convention(norm, sign) for norm in ("unitary", "analyst") for sign in ("minus-forward", "plus-forward")]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_l1_converged_output_is_feasible(group, convention, seed):
+    n, d = group
+    rng = np.random.default_rng(seed)
+    size = n**d
+    e_size = int(rng.integers(0, size // 2 + 1))
+    s_size = int(rng.integers(0, size // 2 + 1))
+    f, problem = random_problem(rng, n, d, e_size, s_size)
+    problem = RecoveryProblem.from_signal(
+        Signal(f.params, f.values, convention), problem.missing
+    )
+    cfg = SolverConfig(max_iter=2000)
+    solution = l1_recover(problem, cfg)
+    scale = float(np.max(np.abs(problem.target), initial=0.0))
+    if solution.status == CONVERGED:
+        assert solution.feasibility_residual <= cfg.feas_tol * scale
+    spectrum = dft(solution.signal)
+    assert solution.feasibility_residual == float(
+        np.max(np.abs(spectrum.values[problem.mask] - problem.target[problem.mask]), initial=0.0)
     )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zncert import spectral
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, annihilator
@@ -10,6 +11,8 @@ from zncert.spectral import (
     CHARACTER_BLOCK,
     Convention,
     Signal,
+    _apply_axis_transform,
+    _character_matrices,
     _character_matrix,
     convert_convention,
     dft,
@@ -218,16 +221,78 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 25, 64, 100, 257, 512, 1000])
+def one_shot_character_matrix(n, sign):
+    return np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+
+
+CHARACTER_SIZES = [1, 2, 3, 5, 7, 25, 64, 100, 257, 512, 1000, 2048]
+
+
+@pytest.mark.parametrize("n", CHARACTER_SIZES)
 @pytest.mark.parametrize("sign", [-1, 1])
 @pytest.mark.parametrize("block", [CHARACTER_BLOCK, 1000])
 def test_character_matrix_matches_one_shot_build(n, sign, block, monkeypatch):
-    # the block build must reproduce the one-shot expression bit for bit,
-    # also when the last block is short (n = 257 and 1000 at the default
-    # block; n = 64 and 257 at 1000 entries a block)
+    # the half-built, mirrored block build must reproduce the one-shot
+    # expression bit for bit, also when the last block is short (n = 257,
+    # 1000 and 2048 at the default block; n = 64 and 257 at 1000 entries a
+    # block) and when a block is a single row (n = 1000 and 2048 at 1000)
     monkeypatch.setattr(spectral, "CHARACTER_BLOCK", block)
-    one_shot = np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    assert same_bits(_character_matrix(n, sign), one_shot)
+    assert same_bits(_character_matrix(n, sign), one_shot_character_matrix(n, sign))
+
+
+@pytest.mark.parametrize("n", CHARACTER_SIZES)
+@pytest.mark.parametrize("block", [CHARACTER_BLOCK, 1000])
+def test_character_matrices_match_one_shot_builds(n, block, monkeypatch):
+    # the plus-sign matrix derived from the minus-sign one by conjugation
+    monkeypatch.setattr(spectral, "CHARACTER_BLOCK", block)
+    w = _character_matrices(n)
+    assert sorted(w) == [-1, 1]
+    for sign in (-1, 1):
+        assert same_bits(w[sign], one_shot_character_matrix(n, sign))
+
+
+def oracle_axis_transform(values, params, w):
+    """The axis transform as first written, by moveaxis and tensordot."""
+    n, d = params.modulus, params.dimension
+    t = values.reshape((n,) * d)
+    for axis in range(d):
+        t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
+    return t.reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(2, 1), (7, 1), (25, 1), (64, 1), (257, 1), (512, 1),
+     (2, 2), (5, 2), (6, 2), (12, 2), (31, 2), (64, 2),
+     (2, 3), (3, 3), (4, 3), (5, 3), (9, 3), (16, 3)],
+)
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_axis_transform_matches_tensordot_oracle(n, d, sign):
+    p = GroupParams(n, d)
+    rng = np.random.default_rng([n, d, sign + 1])
+    values = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+    w = _character_matrix(n, sign)
+    out = _apply_axis_transform(values, p, w)
+    assert same_bits(out, oracle_axis_transform(values, p, w))
+    assert out.flags.writeable and not np.shares_memory(out, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.integers(2, {1: 64, 2: 12, 3: 6}[d]), st.just(d))
+    ),
+    st.sampled_from(ALL_CONVENTIONS),
+    st.integers(0, 2**32 - 1),
+)
+def test_round_trip_property(group, convention, seed):
+    n, d = group
+    p = GroupParams(n, d)
+    rng = np.random.default_rng(seed)
+    f = Signal(p, rng.normal(size=p.size) + 1j * rng.normal(size=p.size), convention)
+    back = idft(dft(f))
+    assert back.convention == convention and back.side == "time"
+    assert np.max(np.abs(back.values - f.values)) <= 1e-9 * np.max(np.abs(f.values))
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (7, 1), (12, 1), (4, 2), (5, 2), (3, 3), (4, 3)])
