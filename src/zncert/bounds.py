@@ -273,7 +273,7 @@ def recovery_condition(
         raise ValueError(f"unknown recovery condition variant {variant!r}")
     if e_size < 1:
         raise ValueError("support size must be >= 1")
-    if k_bound < 0:
+    if not k_bound >= 0:
         raise ValueError(f"K must be >= 0, got {k_bound}")
     if not 2.0 <= alpha <= 3.0:
         raise ValueError(f"alpha must lie in [2, 3], got {alpha}")

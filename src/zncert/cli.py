@@ -14,7 +14,7 @@ from .spectral import dft, load_signal, support_of
 from .energy import energy_certificate
 from .bounds import certify_pair
 from .gowers import conjecture_scan, gowers_norm
-from .recovery import SolverConfig, l1_recover, least_squares_recover, load_problem
+from .recovery import DEFAULT_MAX_ITER, l1_recover, least_squares_recover, load_problem
 from .harness import (
     ExperimentConfig,
     RunReport,
@@ -121,7 +121,7 @@ def bounds(
 @click.option("--problem", "problem_path", required=True, type=click.Path(exists=True))
 @click.option("--method", type=click.Choice(["l1", "lsq"]), default="l1", show_default=True)
 @click.option("--support", "support_path", type=click.Path(exists=True), default=None, help="Candidate support set (lsq).")
-@click.option("--max-iter", type=click.IntRange(min=1), default=SolverConfig.max_iter, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=DEFAULT_MAX_ITER, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def recover(
     problem_path: str,
@@ -133,7 +133,7 @@ def recover(
     """Reconstruct a signal from a partially observed spectrum."""
     problem = _load(load_problem, problem_path, "--problem")
     if method == "l1":
-        solution = l1_recover(problem, SolverConfig(max_iter=max_iter))
+        solution = l1_recover(problem, max_iter=max_iter)
     else:
         if support_path is None:
             raise click.UsageError("--method lsq requires --support")
@@ -201,8 +201,7 @@ def sweep(
     kind: str, trials: int | None, seed: int, fmt: str, output: str | None, check: bool
 ) -> None:
     """Randomized certificate and recovery sweeps with fixed seeds."""
-    params = {} if trials is None else {"trials": trials}
-    cfg = ExperimentConfig(scenario=f"{kind}-sweep", params=params, seed=seed)
+    cfg = ExperimentConfig(f"{kind}-sweep", trials=trials, seed=seed)
     runner = run_soundness_sweep if kind == "soundness" else run_recovery_sweep
     _emit_report(runner(cfg), output, fmt, check)
 

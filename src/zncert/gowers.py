@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .lattice import GroupParams
-from .spectral import Signal, dft, indicator, support_of
+from .spectral import Signal, dft, indicator, random_signal, support_of
 
 GOWERS_TERM_LIMIT = 2**26
 MAX_ORDER = 3
@@ -211,11 +211,7 @@ def conjecture_scan(
     if sampler == "random":
         rng = np.random.default_rng(seed)
         for _ in range(trials):
-            size = int(rng.integers(1, params.size + 1))
-            idx = rng.choice(params.size, size=size, replace=False)
-            values = np.zeros(params.size, dtype=np.complex128)
-            values[idx] = rng.normal(size=size) + 1j * rng.normal(size=size)
-            _scan_one(report, Signal(params, values))
+            _scan_one(report, random_signal(params, rng))
         return report
 
     raise ValueError(f"unknown sampler {sampler!r}")

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .lattice import (
     make_interval_grid,
     shift_set,
 )
-from .spectral import ANALYST_PLUS, Signal, dft, indicator, support_of
+from .spectral import ANALYST_PLUS, Signal, dft, indicator, random_signal, support_of
 from .energy import energy_growth_certificate, grid_energy_closed_form
 from .bounds import certify_pair, recovery_condition
 from .recovery import (
@@ -45,13 +45,11 @@ CERTIFICATE_CSV_COLUMNS = ("kind", "lhs", "rhs", "correction", "slack", "satisfi
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario selector plus scenario-specific knobs and the master seed."""
+    """Scenario selector, trial count (None: the sweep's default) and master seed."""
 
     scenario: str
-    params: dict = field(default_factory=dict)
+    trials: int | None = None
     seed: int = 0
-    output: str | None = None
-    fmt: str = "json"
 
 
 @dataclass
@@ -146,20 +144,6 @@ def certificates_to_csv(certs: list) -> str:
 def random_support(params: GroupParams, size: int, rng: np.random.Generator) -> SupportSet:
     idx = rng.choice(params.size, size=size, replace=False)
     return SupportSet(params, tuple(params.from_flat(int(i)) for i in idx))
-
-
-def random_signal(
-    params: GroupParams,
-    rng: np.random.Generator,
-    support_size: int | None = None,
-) -> Signal:
-    """Uniform random support of the given size with complex Gaussian values."""
-    size = support_size if support_size is not None else int(rng.integers(1, params.size + 1))
-    values = np.zeros(params.size, dtype=np.complex128)
-    if size:
-        idx = rng.choice(params.size, size=size, replace=False)
-        values[idx] = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return Signal(params, values)
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -305,13 +289,12 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
     violation is an implementation bug and counts as a failure.
     """
     start = time.perf_counter()
-    trials = int(cfg.params.get("trials", 500))
-    settings = [tuple(s) for s in cfg.params.get("settings", SOUNDNESS_SETTINGS)]
+    trials = 500 if cfg.trials is None else cfg.trials
     rows = []
     failures = 0
     min_slack = {"classical": math.inf, "additive": math.inf, "refined": math.inf}
     for index in range(trials):
-        n, d = settings[index % len(settings)]
+        n, d = SOUNDNESS_SETTINGS[index % len(SOUNDNESS_SETTINGS)]
         params = GroupParams(n, d)
         rng = _trial_rng(cfg.seed, index)
         f = random_signal(params, rng)
@@ -338,7 +321,7 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
         )
     return _report(
         "soundness-sweep",
-        {"trials": trials, "settings": [list(s) for s in settings], "seed": cfg.seed},
+        {"trials": trials, "settings": [list(s) for s in SOUNDNESS_SETTINGS], "seed": cfg.seed},
         rows,
         start,
         failures,
@@ -353,6 +336,7 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
 CONTRAST_GROUP = (16, 1)
 CONTRAST_LOW_ENERGY = ((0,), (1,), (3,), (7,))
 CONTRAST_HIGH_ENERGY = ((0,), (4,), (8,), (12,))
+CONTRAST_REPEATS = 3
 
 
 def _recovery_trial(
@@ -403,8 +387,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     low energy certifies more often.
     """
     start = time.perf_counter()
-    trials = int(cfg.params.get("trials", 200))
-    settings = [tuple(s) for s in cfg.params.get("settings", RECOVERY_SETTINGS)]
+    trials = 200 if cfg.trials is None else cfg.trials
     rows = []
     failures = 0
     crosstab = {
@@ -415,7 +398,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     }
     min_cert_slack = math.inf
     for index in range(trials):
-        n, d = settings[index % len(settings)]
+        n, d = RECOVERY_SETTINGS[index % len(RECOVERY_SETTINGS)]
         params = GroupParams(n, d)
         rng = _trial_rng(cfg.seed, index)
         e_size = int(rng.integers(1, 4))
@@ -444,7 +427,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
         ("high-energy", CONTRAST_HIGH_ENERGY),
     ):
         missing = SupportSet.from_coords(params, coords)
-        for rep in range(int(cfg.params.get("contrast_repeats", 3))):
+        for rep in range(CONTRAST_REPEATS):
             rng = _trial_rng(cfg.seed, 10_000 + rep if label == "low-energy" else 20_000 + rep)
             f = random_signal(params, rng, support_size=2)
             row = _recovery_trial(params, f, missing, growth)
@@ -461,7 +444,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     )
     return _report(
         "recovery-sweep",
-        {"trials": trials, "settings": [list(s) for s in settings], "seed": cfg.seed},
+        {"trials": trials, "settings": [list(s) for s in RECOVERY_SETTINGS], "seed": cfg.seed},
         rows + contrast_rows,
         start,
         failures,
@@ -480,6 +463,8 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
     For every cyclic subgroup H of Z_N and every coset y + H, the signal
     1_{y+H} has spectrum supported on the annihilator, both corrections
     vanish, and classical, additive, and refined right sides all equal N.
+    H is the multiples of N/|H|, so y = 0, ..., N/|H| - 1 are the coset
+    representatives, each the least element of its coset.
     """
     start = time.perf_counter()
     rows = []
@@ -487,14 +472,9 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
     for n in n_list:
         params = GroupParams(n, 1)
         for subgroup in all_cyclic_subgroups(params):
-            seen: set[tuple] = set()
-            for y in params.points():
-                coset = shift_set(subgroup, y)
-                key = tuple(v.coords for v in coset)
-                if key in seen:
-                    continue
-                seen.add(key)
-                f = indicator(coset)
+            step = n // len(subgroup)
+            for y in range(step):
+                f = indicator(shift_set(subgroup, params.vector((y,))))
                 e = support_of(f)
                 sigma = support_of(dft(f))
                 certs = certify_pair(e, sigma)
@@ -512,7 +492,7 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
                     {
                         "N": n,
                         "subgroup_size": len(subgroup),
-                        "coset_rep": list(y.coords),
+                        "coset_rep": [y],
                         "classical_rhs": certs["classical"].rhs,
                         "additive_rhs": certs["additive_point"].rhs,
                         "refined_rhs_point": refined_point.rhs,

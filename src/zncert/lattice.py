@@ -162,9 +162,6 @@ class SupportSet:
             and v.coords in self._lookup  # type: ignore[attr-defined]
         )
 
-    def contains_coords(self, coords: tuple[int, ...]) -> bool:
-        return coords in self._lookup  # type: ignore[attr-defined]
-
     def flat_indices(self) -> list[int]:
         """Row-major indices of the members (sorted, since members are)."""
         return [self.params.flat_index(v) for v in self.members]
@@ -262,11 +259,13 @@ def points_from_json(
     """The set of points listed in a file, each already a point of Z_N^d.
 
     Unlike ``SupportSet.from_coords``, coordinates are not reduced mod N:
-    an entry with the wrong number of coordinates, or with a coordinate
-    that is not an integer in [0, N), raises ValueError naming the entry
-    by ``label`` and position.
+    entries that are not a list, an entry with the wrong number of
+    coordinates, or a coordinate that is not an integer in [0, N) raise
+    ValueError naming the entry by ``label`` and position.
     """
     n, d = params.modulus, params.dimension
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{label} entries must form a list, got {entries!r}")
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, (list, tuple))
@@ -280,9 +279,23 @@ def points_from_json(
     return SupportSet.from_coords(params, entries)
 
 
+def params_from_json(data: dict) -> GroupParams:
+    """The group a file names by its integer keys ``N`` and ``d``.
+
+    Raises ValueError when the file does not hold a JSON object or either
+    key is not an integer.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"the file must hold a JSON object, got {type(data).__name__}")
+    n, d = data["N"], data["d"]
+    if not (isinstance(n, int) and isinstance(d, int)):
+        raise ValueError(f"N and d must be integers, got {n!r} and {d!r}")
+    return GroupParams(n, d)
+
+
 def set_from_json_dict(data: dict) -> SupportSet:
     """Parse a set file's contents; members must already be points of Z_N^d."""
-    return points_from_json(GroupParams(int(data["N"]), int(data["d"])), data["members"])
+    return points_from_json(params_from_json(data), data["members"])
 
 
 def save_set(a: SupportSet, path: str | Path) -> None:

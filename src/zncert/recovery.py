@@ -16,8 +16,13 @@ as its conjugate, and drops both when it returns; nothing is cached
 across solves. The observed indices and values are gathered once per
 solve, and the iteration scales and thresholds in place.
 
-Problems are stored as row-major arrays (observed values and an observed
-mask), and the least-squares system is built from them in one pass.
+A problem is a frozen record of its group, its convention and two
+row-major arrays, the observed values and the observed mask.
+``RecoveryProblem.from_spectrum`` is the one way to build it; ``from_signal``
+and the problem-file loader go through it. The missing set is the
+complement of the mask, and the least-squares system is built from the
+arrays in one pass. The solver's tolerances and step rule are module
+constants; only its iteration budget is an argument.
 """
 
 from __future__ import annotations
@@ -26,17 +31,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import GroupParams, RingVector, SupportSet, points_from_json
+from .lattice import GroupParams, SupportSet, points_from_json
 from .spectral import (
     FREQUENCY,
     TIME,
     Convention,
     Signal,
-    UNITARY_MINUS,
     _apply_axis_transform,
     _character_matrices,
     dft,
@@ -50,89 +54,42 @@ CONVERGED = "converged"
 MAX_ITER = "max-iter"
 INFEASIBLE = "infeasible"
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the l1 solver; all are artifact choices, not claims."""
-
-    feas_tol: float = 1e-8
-    obj_tol: float = 1e-8
-    max_iter: int = 50000
-    tau: float | None = None  # prox step; default 0.25 * peak of the zero-fill signal
+# l1 solver tolerances and step; artifact choices, not claims.
+DEFAULT_MAX_ITER = 50000
+FEAS_TOL = 1e-8
+OBJ_TOL = 1e-8
+#: The prox step as a fraction of the peak of the zero-fill signal.
+TAU_FRACTION = 0.25
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class RecoveryProblem:
     """Observed spectrum values for every frequency outside the missing set.
 
-    Stored as two read-only row-major arrays in the problem's convention:
-    ``target`` holds the observed values (zero at missing frequencies) and
-    ``mask`` is True exactly on the observed frequencies. The constructor
-    takes the observations as a mapping from frequency to value;
-    ``from_spectrum`` fills the arrays straight from a spectrum.
+    Two read-only row-major arrays in the problem's convention: ``target``
+    holds the observed values (zero at missing frequencies) and ``mask`` is
+    True exactly on the observed frequencies. ``from_spectrum`` builds and
+    freezes them; the missing set is derived from the mask on demand.
     """
 
     params: GroupParams
     target: np.ndarray
     mask: np.ndarray
-    missing: SupportSet
     convention: Convention
-
-    def __init__(
-        self,
-        params: GroupParams,
-        observed: Mapping[RingVector, complex],
-        missing: SupportSet,
-        convention: Convention = UNITARY_MINUS,
-    ) -> None:
-        if missing.params != params:
-            raise ValueError("missing set lives in a different group")
-        n_expected = params.size - len(missing)
-        if len(observed) != n_expected:
-            raise ValueError(
-                f"observed must cover exactly the complement of the missing set:"
-                f" expected {n_expected} entries, got {len(observed)}"
-            )
-        target = np.zeros(params.size, dtype=np.complex128)
-        for m, v in observed.items():
-            if m.modulus != params.modulus or m.dimension != params.dimension:
-                raise ValueError(f"frequency {m.coords} is outside the group")
-            if m in missing:
-                raise ValueError(f"frequency {m.coords} is both observed and missing")
-            target[params.flat_index(m)] = v
-        self._store(params, target, missing, convention)
-
-    def _store(
-        self,
-        params: GroupParams,
-        target: np.ndarray,
-        missing: SupportSet,
-        convention: Convention,
-    ) -> None:
-        mask = np.ones(params.size, dtype=bool)
-        mask[missing.flat_indices()] = False
-        target[~mask] = 0.0
-        target.setflags(write=False)
-        mask.setflags(write=False)
-        for name, value in (
-            ("params", params),
-            ("target", target),
-            ("mask", mask),
-            ("missing", missing),
-            ("convention", convention),
-        ):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def from_spectrum(cls, spectrum: Signal, missing: SupportSet) -> RecoveryProblem:
         """Build a problem from a full spectrum by erasing the missing entries."""
-        if missing.params != spectrum.params:
+        params = spectrum.params
+        if missing.params != params:
             raise ValueError("missing set lives in a different group")
-        problem = cls.__new__(cls)
-        problem._store(
-            spectrum.params, np.array(spectrum.values), missing, spectrum.convention
-        )
-        return problem
+        mask = np.ones(params.size, dtype=bool)
+        mask[missing.flat_indices()] = False
+        target = np.array(spectrum.values)
+        target[~mask] = 0.0
+        target.setflags(write=False)
+        mask.setflags(write=False)
+        return cls(params, target, mask, spectrum.convention)
 
     @classmethod
     def from_signal(cls, f: Signal, missing: SupportSet) -> RecoveryProblem:
@@ -140,16 +97,12 @@ class RecoveryProblem:
         return cls.from_spectrum(dft(f), missing)
 
     @property
-    def observed(self) -> dict[RingVector, complex]:
-        """The observations as a mapping from frequency to value, in row-major order."""
-        return {
-            self.params.from_flat(int(i)): complex(self.target[i])
-            for i in np.flatnonzero(self.mask)
-        }
-
-    def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, observed_mask) in row-major order, problem convention."""
-        return self.target.copy(), self.mask.copy()
+    def missing(self) -> SupportSet:
+        """The unobserved frequencies, in row-major order."""
+        params = self.params
+        return SupportSet(
+            params, tuple(params.from_flat(int(i)) for i in np.flatnonzero(~self.mask))
+        )
 
 
 @dataclass(frozen=True)
@@ -207,7 +160,7 @@ def _soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
 
 
 def l1_recover(
-    problem: RecoveryProblem, cfg: SolverConfig | None = None
+    problem: RecoveryProblem, max_iter: int = DEFAULT_MAX_ITER
 ) -> RecoverySolution:
     """Minimize the l1 norm subject to matching all observed spectrum values.
 
@@ -215,10 +168,9 @@ def l1_recover(
     x <- x + z - y, where project overwrites the observed unitary spectrum
     coordinates (the exact Euclidean projection). Every z is feasible; the
     iteration stops when the prox point and the projected point coincide to
-    within feas_tol relative to the problem scale and the objective has
-    stabilized to within obj_tol.
+    within FEAS_TOL relative to the problem scale and the objective has
+    stabilized to within OBJ_TOL, or after ``max_iter`` iterations.
     """
-    cfg = cfg or SolverConfig()
     params = problem.params
     params.require_dense("l1 recovery")
     target, observed_mask = _unitary_constraints(problem)
@@ -257,20 +209,20 @@ def l1_recover(
 
     zero_fill = project(np.zeros(params.size, dtype=np.complex128))
     problem_scale = float(np.abs(zero_fill).max())
-    if len(problem.missing) == 0:
+    if problem.mask.all():
         return finish(zero_fill, 1, CONVERGED, method="direct-inverse")
     if problem_scale == 0.0:
         # All observed values vanish, so the zero signal is feasible and optimal.
         return finish(np.zeros(params.size, dtype=np.complex128), 0, CONVERGED)
 
-    tau = cfg.tau if cfg.tau is not None else 0.25 * problem_scale
-    gap_tol = cfg.feas_tol * problem_scale
+    tau = TAU_FRACTION * problem_scale
+    gap_tol = FEAS_TOL * problem_scale
 
     x = zero_fill.copy()
     z = zero_fill
     gap = math.inf
     previous_objective = math.inf
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, max_iter + 1):
         y = _soft_threshold(x, tau)
         z = project(2.0 * y - x)
         step = z - y
@@ -278,17 +230,17 @@ def l1_recover(
         # |z - y| and |y - z| have the same bits
         gap = float(np.abs(step).max())
         objective = float(np.abs(z).sum())
-        if gap <= gap_tol and abs(objective - previous_objective) <= cfg.obj_tol * max(
+        if gap <= gap_tol and abs(objective - previous_objective) <= OBJ_TOL * max(
             1.0, objective
         ):
             return finish(z, iteration, CONVERGED, gap=gap, tau=tau)
         previous_objective = objective
 
     prox_objective = float(np.abs(_soft_threshold(x, tau)).sum())
-    near_degenerate = abs(prox_objective - previous_objective) < 10.0 * cfg.obj_tol
+    near_degenerate = abs(prox_objective - previous_objective) < 10.0 * OBJ_TOL
     return finish(
         z,
-        cfg.max_iter,
+        max_iter,
         MAX_ITER,
         gap=gap,
         tau=tau,
@@ -442,11 +394,8 @@ def problem_to_json_dict(problem: RecoveryProblem) -> dict:
 
 
 def problem_from_json_dict(data: dict) -> RecoveryProblem:
-    payload = dict(data)
-    missing_coords = payload.pop("missing", [])
-    payload.setdefault("side", FREQUENCY)
-    spectrum = signal_from_json_dict(payload)
-    missing = points_from_json(spectrum.params, missing_coords, "missing frequency")
+    spectrum = signal_from_json_dict(data, side=FREQUENCY)
+    missing = points_from_json(spectrum.params, data.get("missing", []), "missing frequency")
     return RecoveryProblem.from_spectrum(spectrum, missing)
 
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
-
 import numpy as np
 
-from .lattice import GroupParams, RingVector, SupportSet
+from .lattice import GroupParams, RingVector, SupportSet, params_from_json
 
 TIME = "time"
 FREQUENCY = "frequency"
@@ -186,10 +184,27 @@ def support_of(f: Signal, tau: float | None = None) -> SupportSet:
     """The set {x : |f(x)| > tau}; tau defaults to 1e-9 * max|f|."""
     if tau is None:
         tau = default_threshold(f.values)
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     idx = np.nonzero(np.abs(f.values) > tau)[0]
     return SupportSet(f.params, tuple(f.params.from_flat(int(i)) for i in idx))
+
+
+def random_signal(
+    params: GroupParams,
+    rng: np.random.Generator,
+    support_size: int | None = None,
+) -> Signal:
+    """Complex Gaussian values on a uniformly random support.
+
+    The support size is drawn from 1..N^d unless given.
+    """
+    size = support_size if support_size is not None else int(rng.integers(1, params.size + 1))
+    values = np.zeros(params.size, dtype=np.complex128)
+    if size:
+        idx = rng.choice(params.size, size=size, replace=False)
+        values[idx] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return Signal(params, values)
 
 
 def indicator(a: SupportSet, convention: Convention = UNITARY_MINUS) -> Signal:
@@ -244,14 +259,19 @@ def signal_to_json_dict(sig: Signal) -> dict:
     }
 
 
-def signal_from_json_dict(data: dict) -> Signal:
-    params = GroupParams(int(data["N"]), int(data["d"]))
+def signal_from_json_dict(data: dict, side: str = TIME) -> Signal:
+    """Parse a signal file's contents; ``side`` applies when the file names none."""
+    params = params_from_json(data)
     conv_data = data.get("convention", {})
+    if not isinstance(conv_data, dict):
+        raise ValueError(f"convention must be a JSON object, got {conv_data!r}")
     convention = Convention(
         conv_data.get("normalization", "unitary"),
         conv_data.get("exponent_sign", "minus-forward"),
     )
     entries = data["values"]
+    if not isinstance(entries, list):
+        raise ValueError(f"values must be a list of [re, im] pairs, got {entries!r}")
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, (list, tuple))
@@ -260,7 +280,7 @@ def signal_from_json_dict(data: dict) -> Signal:
         ):
             raise ValueError(f"value {i} {entry!r} is not an [re, im] pair of numbers")
     values = np.array([complex(re, im) for re, im in entries])
-    return Signal(params, values, convention, side=data.get("side", TIME))
+    return Signal(params, values, convention, side=data.get("side", side))
 
 
 def save_signal(sig: Signal, path: str | Path) -> None:
@@ -270,11 +290,3 @@ def save_signal(sig: Signal, path: str | Path) -> None:
 def load_signal(path: str | Path) -> Signal:
     return signal_from_json_dict(json.loads(Path(path).read_text()))
 
-
-def signal_from_values(
-    params: GroupParams,
-    values: Iterable[complex],
-    convention: Convention = UNITARY_MINUS,
-    side: str = TIME,
-) -> Signal:
-    return Signal(params, np.array(list(values), dtype=np.complex128), convention, side)

@@ -127,7 +127,7 @@ def test_criterion_03_four_point_walkthrough():
 
 def test_criterion_04_soundness_sweep():
     with criterion(4, "500-signal soundness sweep has zero violations", 60.0) as m:
-        cfg = ExperimentConfig("soundness-sweep", {"trials": 500}, seed=20250810)
+        cfg = ExperimentConfig("soundness-sweep", trials=500, seed=20250810)
         report = run_soundness_sweep(cfg)
         assert report.summary["fail_count"] == 0
         assert len(report.rows) == 500

@@ -231,6 +231,8 @@ def test_recovery_condition_validation():
     s = SupportSet.from_coords(p, [(1,)])
     with pytest.raises(ValueError):
         recovery_condition(2, s, -1.0, 3.0)
+    with pytest.raises(ValueError, match="K must be >= 0, got nan"):
+        recovery_condition(2, s, float("nan"), 3.0)
     with pytest.raises(ValueError):
         recovery_condition(2, s, 1.0, 3.5)
     with pytest.raises(ValueError):

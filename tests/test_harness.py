@@ -62,7 +62,7 @@ def test_example2_all_checks_pass():
 
 
 def test_soundness_sweep_small():
-    cfg = ExperimentConfig("soundness-sweep", {"trials": 80}, seed=5)
+    cfg = ExperimentConfig("soundness-sweep", trials=80, seed=5)
     report = run_soundness_sweep(cfg)
     assert report.summary["fail_count"] == 0
     assert report.summary["min_slack"] >= -1e-9 * 16**2
@@ -71,7 +71,7 @@ def test_soundness_sweep_small():
 
 
 def test_recovery_sweep_small():
-    cfg = ExperimentConfig("recovery-sweep", {"trials": 60}, seed=5)
+    cfg = ExperimentConfig("recovery-sweep", trials=60, seed=5)
     report = run_recovery_sweep(cfg)
     assert report.summary["fail_count"] == 0
     crosstab = report.summary["crosstab"]
@@ -90,12 +90,12 @@ def test_extremal_cosets_runner():
 
 
 def test_report_reproducibility():
-    cfg = ExperimentConfig("soundness-sweep", {"trials": 30}, seed=9)
+    cfg = ExperimentConfig("soundness-sweep", trials=30, seed=9)
     first = run_soundness_sweep(cfg).to_json(include_timing=False)
     second = run_soundness_sweep(cfg).to_json(include_timing=False)
     assert first == second
     other_seed = run_soundness_sweep(
-        ExperimentConfig("soundness-sweep", {"trials": 30}, seed=10)
+        ExperimentConfig("soundness-sweep", trials=30, seed=10)
     ).to_json(include_timing=False)
     assert first != other_seed
 
@@ -209,6 +209,26 @@ def test_cli_rejects_set_file_outside_the_group(tmp_path):
     assert "Invalid value for --set: member 0 [5] is not a point of Z_4^1" in result.output
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"N": 4, "d": 1, "members": 5}, "member entries must form a list, got 5"),
+        ({"N": 4, "d": 1, "members": None}, "member entries must form a list, got None"),
+        ({"N": 4, "d": 1, "members": {}}, "member entries must form a list, got {}"),
+        ([1], "the file must hold a JSON object, got list"),
+        ({"N": "4", "d": 1, "members": [[0]]}, "N and d must be integers, got '4' and 1"),
+    ],
+    ids=["members-scalar", "members-null", "members-object", "top-level-list", "string-modulus"],
+)
+def test_cli_rejects_malformed_set_files(tmp_path, data, message):
+    set_path = tmp_path / "bad.json"
+    set_path.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["energy", "--set", str(set_path)])
+    assert result.exit_code == 2
+    assert not isinstance(result.exception, (TypeError, ValueError))  # no traceback
+    assert f"Invalid value for --set: {message}" in result.output
+
+
 SIGNAL_4 = {"N": 4, "d": 1, "values": [[1, 0], [0, 0], [0, 0], [2, 0]]}
 
 
@@ -225,10 +245,20 @@ SIGNAL_4 = {"N": 4, "d": 1, "values": [[1, 0], [0, 0], [0, 0], [2, 0]]}
         (["bounds"], "--signal", {**SIGNAL_4, "values": [1, 2, 3, 4]}, "value 0 1 is not an [re, im] pair of numbers"),
         (["gowers"], "--signal", {**SIGNAL_4, "values": [[1, 0], [0, 0], [0], [2, 0]]}, "value 2 [0] is not an [re, im] pair of numbers"),
         (["recover"], "--problem", {**SIGNAL_4, "values": [[1, 0], [0, 0], [0, 0], "2"], "missing": [[1]]}, "value 3 '2' is not an [re, im] pair of numbers"),
+        (["bounds"], "--signal", {**SIGNAL_4, "values": 5}, "values must be a list of [re, im] pairs, got 5"),
+        (["recover"], "--problem", {**SIGNAL_4, "values": 5, "missing": [[1]]}, "values must be a list of [re, im] pairs, got 5"),
+        (["recover"], "--problem", {**SIGNAL_4, "missing": 5}, "missing frequency entries must form a list, got 5"),
+        (["recover"], "--problem", {**SIGNAL_4, "missing": {}}, "missing frequency entries must form a list, got {}"),
+        (["bounds"], "--signal", [1], "the file must hold a JSON object, got list"),
+        (["recover"], "--problem", [1], "the file must hold a JSON object, got list"),
+        (["gowers"], "--signal", {**SIGNAL_4, "N": None}, "N and d must be integers, got None and 1"),
+        (["gowers"], "--signal", {**SIGNAL_4, "convention": 5}, "convention must be a JSON object, got 5"),
     ],
     ids=[
         "bounds-count", "bounds-key", "gowers-count", "gowers-key", "recover-missing", "recover-count", "recover-key",
-        "bounds-scalar", "gowers-short-pair", "recover-string",
+        "bounds-scalar", "gowers-short-pair", "recover-string", "bounds-values-scalar", "recover-values-scalar",
+        "recover-missing-scalar", "recover-missing-object", "bounds-top-level-list", "recover-top-level-list",
+        "gowers-null-modulus", "gowers-convention-scalar",
     ],
 )
 def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, option, data, message):
@@ -236,7 +266,7 @@ def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, optio
     path.write_text(json.dumps(data))
     result = CliRunner().invoke(main, [*command, option, str(path)])
     assert result.exit_code == 2
-    assert not isinstance(result.exception, (ValueError, KeyError))  # no traceback
+    assert not isinstance(result.exception, (TypeError, ValueError, KeyError))  # no traceback
     assert f"Invalid value for {option}: {message}" in result.output
 
 

@@ -10,8 +10,8 @@ from zncert.lattice import GroupParams, SupportSet
 from zncert.spectral import ANALYST_PLUS, UNITARY_MINUS, Convention, Signal, dft, idft
 from zncert.recovery import (
     CONVERGED,
+    FEAS_TOL,
     RecoveryProblem,
-    SolverConfig,
     _least_squares_system,
     concentration_check,
     l1_objective_profile,
@@ -25,6 +25,14 @@ from zncert.recovery import (
 )
 
 P4 = GroupParams(4, 1)
+
+
+def observed(problem: RecoveryProblem) -> dict:
+    """The observations as a mapping from frequency to value, in row-major order."""
+    return {
+        problem.params.from_flat(int(i)): complex(problem.target[i])
+        for i in np.flatnonzero(problem.mask)
+    }
 
 
 def four_point_problem() -> tuple[Signal, RecoveryProblem]:
@@ -46,15 +54,13 @@ def random_problem(rng, n, d, e_size, s_size):
 
 def test_problem_coverage_invariant():
     f, problem = four_point_problem()
-    assert len(problem.observed) == 2
     spectrum = dft(f)
-    # observed entry at a missing frequency must be rejected
-    observed = {m: spectrum.value_at(m) for m in P4.points()}
-    with pytest.raises(ValueError):
-        RecoveryProblem(P4, observed, problem.missing, ANALYST_PLUS)
-    # short observation map rejected too
-    with pytest.raises(ValueError):
-        RecoveryProblem(P4, {}, problem.missing, ANALYST_PLUS)
+    assert observed(problem) == {m: spectrum.value_at(m) for m in P4.points() if m not in problem.missing}
+    assert problem.missing == SupportSet.from_coords(P4, [(1,), (2,)])
+    assert problem.mask.tolist() == [True, False, False, True]
+    # a missing set from another group is rejected
+    with pytest.raises(ValueError, match="different group"):
+        RecoveryProblem.from_spectrum(spectrum, SupportSet.from_coords(GroupParams(5, 1), [(1,)]))
 
 
 def test_l1_recovers_four_point_signal():
@@ -89,7 +95,7 @@ def test_l1_no_missing_frequencies_is_one_projection():
 
 def test_l1_iteration_budget_reports_max_iter():
     _, problem = four_point_problem()
-    solution = l1_recover(problem, SolverConfig(max_iter=3))
+    solution = l1_recover(problem, max_iter=3)
     assert solution.status == "max-iter"
     assert solution.iterations == 3
     # the projected iterate is feasible even when the budget runs out
@@ -167,8 +173,7 @@ def test_least_squares_full_support_no_missing_is_inverse_transform():
     full = SupportSet.from_coords(p, [(i,) for i in range(5)])
     solution = least_squares_recover(problem, full)
     assert solution.status == "converged"
-    target, _ = problem.target_arrays()
-    inverse = idft(Signal(p, target, problem.convention, side="frequency"))
+    inverse = idft(Signal(p, problem.target, problem.convention, side="frequency"))
     assert np.max(np.abs(solution.signal.values - inverse.values)) <= 1e-10
 
 
@@ -257,19 +262,19 @@ def test_problem_json_round_trip(tmp_path):
     assert data["missing"] == [[1], [2]]
     restored = problem_from_json_dict(data)
     assert restored.convention == problem.convention
-    assert restored.observed == problem.observed
+    assert observed(restored) == observed(problem)
 
     path = tmp_path / "problem.json"
     save_problem(problem, path)
     loaded = load_problem(path)
-    assert loaded.observed == problem.observed
+    assert observed(loaded) == observed(problem)
     solution = l1_recover(loaded)
     assert np.max(np.abs(solution.signal.values - [1, 0, 0, 2])) <= 1e-6
 
 
 def test_solution_json_shape():
     _, problem = four_point_problem()
-    solution = l1_recover(problem, SolverConfig(max_iter=200))
+    solution = l1_recover(problem, max_iter=200)
     data = solution.to_json_dict()
     assert set(data) == {
         "status",
@@ -300,10 +305,9 @@ def test_problem_arrays_match_the_mapping():
         problem = RecoveryProblem.from_signal(f, missing)
         spectrum = dft(f)
         expected = {m: spectrum.value_at(m) for m in p.points() if m not in missing}
-        assert problem.observed == expected
-        rebuilt = RecoveryProblem(p, expected, missing, conv)
-        assert np.array_equal(rebuilt.target, problem.target)
-        assert np.array_equal(rebuilt.mask, problem.mask)
+        assert observed(problem) == expected
+        assert problem.missing == missing
+        assert problem.convention == conv
         assert not problem.mask[sidx].any() and np.all(problem.target[sidx] == 0)
         with pytest.raises(ValueError):
             problem.target[0] = 1.0
@@ -316,7 +320,8 @@ def same_bits(a, b):
 def literal_least_squares_system(problem, support):
     """The least-squares system as first written, one np.exp per entry."""
     params = problem.params
-    frequencies = sorted(problem.observed, key=params.flat_index)
+    observations = observed(problem)
+    frequencies = sorted(observations, key=params.flat_index)
     sign = problem.convention.forward_sign
     fscale = problem.convention.forward_scale(params)
     matrix = np.empty((len(frequencies), len(support)), dtype=np.complex128)
@@ -325,7 +330,7 @@ def literal_least_squares_system(problem, support):
             matrix[i, j] = fscale * np.exp(
                 sign * 2j * np.pi * m.dot(x) / params.modulus
             )
-    rhs = np.array([problem.observed[m] for m in frequencies], dtype=np.complex128)
+    rhs = np.array([observations[m] for m in frequencies], dtype=np.complex128)
     return matrix, rhs
 
 
@@ -367,7 +372,7 @@ def oracle_soft_threshold(values, tau):
     return values * np.divide(shrink, mag, out=np.zeros_like(mag), where=mag > 0)
 
 
-def oracle_l1(problem, cfg=SolverConfig()):
+def oracle_l1(problem, feas_tol=1e-8, obj_tol=1e-8, max_iter=50000):
     """The Douglas-Rachford loop as first written, constraints read from the
     mapping one frequency at a time and both matrices rebuilt on every call.
     Returns (signal values, objective, iterations, gap) of a converged solve."""
@@ -375,7 +380,7 @@ def oracle_l1(problem, cfg=SolverConfig()):
     factor = problem.convention.forward_scale(params) * math.sqrt(params.size)
     target = np.zeros(params.size, dtype=np.complex128)
     mask = np.zeros(params.size, dtype=bool)
-    for m, v in problem.observed.items():
+    for m, v in observed(problem).items():
         idx = params.flat_index(-m if problem.convention.forward_sign == 1 else m)
         target[idx] = v / factor
         mask[idx] = True
@@ -389,16 +394,16 @@ def oracle_l1(problem, cfg=SolverConfig()):
     zero_fill = project(np.zeros(params.size, dtype=np.complex128))
     problem_scale = float(np.max(np.abs(zero_fill)))
     tau = 0.25 * problem_scale
-    gap_tol = cfg.feas_tol * problem_scale
+    gap_tol = feas_tol * problem_scale
     x = zero_fill.copy()
     previous_objective = math.inf
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, max_iter + 1):
         y = oracle_soft_threshold(x, tau)
         z = project(2.0 * y - x)
         x += z - y
         gap = float(np.max(np.abs(y - z)))
         objective = float(np.sum(np.abs(z)))
-        if gap <= gap_tol and abs(objective - previous_objective) <= cfg.obj_tol * max(
+        if gap <= gap_tol and abs(objective - previous_objective) <= obj_tol * max(
             1.0, objective
         ):
             return z, objective, iteration, gap
@@ -425,7 +430,7 @@ def test_l1_matches_per_call_matrix_oracle(n, d, e_size, s_size, convention):
     assert solution.objective == objective
     spectrum = dft(Signal(problem.params, values, problem.convention))
     assert solution.feasibility_residual == max(
-        abs(spectrum.value_at(m) - v) for m, v in problem.observed.items()
+        abs(spectrum.value_at(m) - v) for m, v in observed(problem).items()
     )
 
 
@@ -447,11 +452,10 @@ def test_l1_converged_output_is_feasible(group, convention, seed):
     problem = RecoveryProblem.from_signal(
         Signal(f.params, f.values, convention), problem.missing
     )
-    cfg = SolverConfig(max_iter=2000)
-    solution = l1_recover(problem, cfg)
+    solution = l1_recover(problem, max_iter=2000)
     scale = float(np.max(np.abs(problem.target), initial=0.0))
     if solution.status == CONVERGED:
-        assert solution.feasibility_residual <= cfg.feas_tol * scale
+        assert solution.feasibility_residual <= FEAS_TOL * scale
     spectrum = dft(solution.signal)
     assert solution.feasibility_residual == float(
         np.max(np.abs(spectrum.values[problem.mask] - problem.target[problem.mask]), initial=0.0)

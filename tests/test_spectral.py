@@ -120,6 +120,8 @@ def test_support_examples():
 
     with pytest.raises(ValueError):
         support_of(f, tau=-1.0)
+    with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
+        support_of(f, tau=float("nan"))
 
 
 def test_indicator_spectrum_examples():
