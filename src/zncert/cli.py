@@ -9,6 +9,7 @@ from typing import Callable, TypeVar
 import click
 
 from ._version import __version__
+from .errors import CapacityError
 from .lattice import GroupParams, load_set
 from .spectral import dft, load_signal, support_of
 from .energy import energy_certificate
@@ -59,7 +60,16 @@ def _emit_report(report: RunReport, output: str | None, fmt: str, check: bool) -
         sys.exit(1)
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        """Run a command, reporting a refused desk-scale guard as a usage error."""
+        try:
+            return super().invoke(ctx)
+        except CapacityError as exc:
+            raise click.UsageError(str(exc)) from None
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main() -> None:
     """Additive-energy uncertainty certificates and sparse recovery on Z_N^d."""
@@ -67,20 +77,13 @@ def main() -> None:
 
 @main.command()
 @click.option("--set", "set_path", required=True, type=click.Path(exists=True), help="Set file (JSON).")
-@click.option(
-    "--method",
-    type=click.Choice(["quadruple", "representation", "fourier-check"]),
-    default="representation",
-    show_default=True,
-)
 @click.option("--output", type=click.Path(), default=None)
-def energy(set_path: str, method: str, output: str | None) -> None:
+def energy(set_path: str, output: str | None) -> None:
     """Additive energy of a set, as an exact certificate."""
     a = _load(load_set, set_path, "--set")
     if len(a) == 0:
         raise click.BadParameter("the set has no members", param_hint="--set")
-    cert = energy_certificate(a, method)
-    _emit(canonical_json(cert.to_json_dict()), output)
+    _emit(canonical_json(energy_certificate(a).to_json_dict()), output)
 
 
 @main.command()

@@ -17,9 +17,8 @@ one of two routes, chosen from the input:
   so no |A|^2 array is ever held.
 
 The energy sum_t r(t)^2 can reach |A|^3, past int64, and is accumulated
-exactly. Two more routes serve as test oracles: the literal O(|A|^3)
-quadruple count and the floating Fourier cross-check N^d * sum |1hat_A|^4.
-All inequality work downstream consumes the exact integer values.
+exactly. This is the library's one energy route: every energy, parallelogram
+count and certificate downstream is the exact integer it returns.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ import numpy as np
 
 from .errors import CapacityError
 from .lattice import DENSE_LIMIT, GroupParams, SupportSet
-from . import spectral
-
-# The literal quadruple loop is cubic; larger sets must use the
-# representation route, which is equally exact.
-QUADRUPLE_LIMIT = 256
 
 # Pair sums formed per chunk by the pair route; bounds its working memory.
 PAIR_CHUNK = 2**20
@@ -52,26 +46,6 @@ FFT_MIN_PAIRS = 2**10
 
 # Exhaustive growth certificates enumerate every subset up to the cap.
 EXHAUSTIVE_SUBSET_LIMIT = 10**7
-
-
-def energy_quadruple(a: SupportSet) -> int:
-    """Count additive quadruples directly: for (x1,x2,x3) test x4 in A."""
-    if len(a) > QUADRUPLE_LIMIT:
-        raise CapacityError(
-            f"quadruple count needs |A| <= {QUADRUPLE_LIMIT}, got {len(a)}"
-        )
-    n = a.params.modulus
-    members = [v.coords for v in a]
-    lookup = set(members)
-    count = 0
-    for x1 in members:
-        for x2 in members:
-            s = tuple((p + q) % n for p, q in zip(x1, x2))
-            for x3 in members:
-                x4 = tuple((p - q) % n for p, q in zip(s, x3))
-                if x4 in lookup:
-                    count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -193,15 +167,8 @@ def representation_function(a: SupportSet) -> RepresentationFunction:
 
 
 def energy_representation(a: SupportSet) -> int:
-    """Additive energy via sum_t r(t)^2; agrees exactly with the quadruple count."""
+    """Additive energy as the exact integer sum_t r(t)^2."""
     return representation_function(a).energy()
-
-
-def energy_fourier_check(a: SupportSet) -> float:
-    """Floating cross-check N^d * sum_m |1hat_A(m)|^4 (unitary transform)."""
-    a.params.require_dense("Fourier energy check")
-    spec = spectral.indicator_spectrum(a)
-    return float(a.params.size * np.sum(np.abs(spec.values) ** 4))
 
 
 def grid_energy_closed_form(m: int, d: int) -> int:
@@ -229,12 +196,11 @@ def nontrivial_parallelogram_count(a: SupportSet) -> int:
 
 @dataclass(frozen=True)
 class EnergyCertificate:
-    """One energy evaluation with its normalization and provenance."""
+    """One exact energy with its normalization energy / |A|^3."""
 
     set_size: int
-    energy: int | float
+    energy: int
     normalized_energy: Fraction
-    method: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,45 +208,25 @@ class EnergyCertificate:
             "energy": self.energy,
             "normalized_energy": float(self.normalized_energy),
             "normalized_energy_exact": f"{self.normalized_energy.numerator}/{self.normalized_energy.denominator}",
-            "method": self.method,
+            "method": "representation",
         }
 
 
-def energy_certificate(a: SupportSet, method: str = "representation") -> EnergyCertificate:
+def energy_certificate(a: SupportSet) -> EnergyCertificate:
     if len(a) == 0:
         raise ValueError("energy certificate requires a nonempty set")
-    if method == "quadruple":
-        value: int | float = energy_quadruple(a)
-        exact = int(value)
-    elif method == "representation":
-        value = energy_representation(a)
-        exact = int(value)
-    elif method == "fourier-check":
-        value = energy_fourier_check(a)
-        exact = round(value)
-    else:
-        raise ValueError(f"unknown energy method {method!r}")
-    return EnergyCertificate(
-        set_size=len(a),
-        energy=value,
-        normalized_energy=Fraction(exact, len(a) ** 3),
-        method=method,
-    )
+    value = energy_representation(a)
+    return EnergyCertificate(len(a), value, Fraction(value, len(a) ** 3))
 
 
 @dataclass(frozen=True)
 class GrowthCertificate:
-    """A bound energy(T) <= K |T|^alpha over all subsets with |T| <= size_cap.
-
-    Only the trivial and exhaustive modes certify; the sampled mode reports
-    a lower bound on the true K and is flagged accordingly.
-    """
+    """A bound energy(T) <= K |T|^alpha over all subsets with |T| <= size_cap."""
 
     K: float
     alpha: float
     mode: str
     size_cap: int
-    certifying: bool
     subsets_checked: int
 
     def to_json_dict(self) -> dict:
@@ -289,64 +235,40 @@ class GrowthCertificate:
             "alpha": self.alpha,
             "mode": self.mode,
             "size_cap": self.size_cap,
-            "certifying": self.certifying,
             "subsets_checked": self.subsets_checked,
         }
 
 
 def energy_growth_certificate(
-    params: GroupParams,
-    size_cap: int,
-    mode: str = "trivial",
-    alpha: float = 3.0,
-    samples: int = 200,
-    seed: int = 0,
+    params: GroupParams, size_cap: int, mode: str = "trivial", alpha: float = 3.0
 ) -> GrowthCertificate:
     """Produce (K, alpha) with energy(T) <= K |T|^alpha for |T| <= size_cap.
 
     Modes: "trivial" returns (1, 3), valid for every set since the energy
     never exceeds |T|^3. "exhaustive" returns, for the caller's alpha, the
     minimal K by enumerating every nonempty subset up to the cap.
-    "sampled" draws random subsets and reports max energy(T)/|T|^alpha seen,
-    a non-certifying lower bound on the exhaustive K.
     """
     if size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
     if not 2.0 <= alpha <= 3.0:
         raise ValueError(f"alpha must lie in [2, 3], got {alpha}")
-
     if mode == "trivial":
-        return GrowthCertificate(1.0, 3.0, mode, size_cap, True, 0)
+        return GrowthCertificate(1.0, 3.0, mode, size_cap, 0)
+    if mode != "exhaustive":
+        raise ValueError(f"unknown growth certificate mode {mode!r}")
 
     params.require_dense("growth certificate enumeration")
     cap = min(size_cap, params.size)
+    total = sum(comb(params.size, s) for s in range(1, cap + 1))
+    if total > EXHAUSTIVE_SUBSET_LIMIT:
+        raise CapacityError(
+            f"exhaustive growth certificate would enumerate {total} subsets"
+            f" (limit {EXHAUSTIVE_SUBSET_LIMIT})"
+        )
     points = list(params.points())
-
-    if mode == "exhaustive":
-        total = sum(comb(params.size, s) for s in range(1, cap + 1))
-        if total > EXHAUSTIVE_SUBSET_LIMIT:
-            raise CapacityError(
-                f"exhaustive growth certificate would enumerate {total} subsets"
-                f" (limit {EXHAUSTIVE_SUBSET_LIMIT})"
-            )
-        best = 0.0
-        checked = 0
-        for s in range(1, cap + 1):
-            for subset in combinations(points, s):
-                lam = energy_representation(SupportSet(params, subset))
-                best = max(best, lam / s**alpha)
-                checked += 1
-        return GrowthCertificate(best, alpha, mode, size_cap, True, checked)
-
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        for _ in range(samples):
-            s = int(rng.integers(1, cap + 1))
-            idx = rng.choice(params.size, size=s, replace=False)
-            subset = SupportSet(params, tuple(params.from_flat(int(i)) for i in idx))
-            lam = energy_representation(subset)
+    best = 0.0
+    for s in range(1, cap + 1):
+        for subset in combinations(points, s):
+            lam = energy_representation(SupportSet(params, subset))
             best = max(best, lam / s**alpha)
-        return GrowthCertificate(best, alpha, mode, size_cap, False, samples)
-
-    raise ValueError(f"unknown growth certificate mode {mode!r}")
+    return GrowthCertificate(best, alpha, mode, size_cap, total)

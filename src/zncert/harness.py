@@ -146,6 +146,15 @@ def random_support(params: GroupParams, size: int, rng: np.random.Generator) -> 
     return SupportSet(params, tuple(params.from_flat(int(i)) for i in idx))
 
 
+def _trial_count(cfg: ExperimentConfig, default: int) -> int:
+    """The sweep's trial count: ``default`` when unset, else at least 1."""
+    if cfg.trials is None:
+        return default
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
+    return cfg.trials
+
+
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
@@ -289,7 +298,7 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
     violation is an implementation bug and counts as a failure.
     """
     start = time.perf_counter()
-    trials = 500 if cfg.trials is None else cfg.trials
+    trials = _trial_count(cfg, 500)
     rows = []
     failures = 0
     min_slack = {"classical": math.inf, "additive": math.inf, "refined": math.inf}
@@ -387,7 +396,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     low energy certifies more often.
     """
     start = time.perf_counter()
-    trials = 200 if cfg.trials is None else cfg.trials
+    trials = _trial_count(cfg, 200)
     rows = []
     failures = 0
     crosstab = {

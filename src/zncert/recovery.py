@@ -171,6 +171,8 @@ def l1_recover(
     within FEAS_TOL relative to the problem scale and the objective has
     stabilized to within OBJ_TOL, or after ``max_iter`` iterations.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     params = problem.params
     params.require_dense("l1 recovery")
     target, observed_mask = _unitary_constraints(problem)

@@ -21,8 +21,6 @@ from zncert.lattice import (
 )
 from zncert.spectral import ANALYST_PLUS, Signal, dft, idft, support_of
 from zncert.energy import (
-    energy_fourier_check,
-    energy_quadruple,
     energy_representation,
     grid_energy_closed_form,
     nontrivial_parallelogram_count,
@@ -43,6 +41,7 @@ from zncert.harness import (
     run_extremal_cosets,
     run_soundness_sweep,
 )
+from oracles import energy_fourier_check, energy_quadruple
 
 
 @contextmanager

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import energy_quadruple
 
 from zncert.cli import main
+from zncert.energy import energy_representation
 from zncert.harness import (
     ExperimentConfig,
     RunReport,
@@ -81,6 +83,13 @@ def test_recovery_sweep_small():
     assert contrast["low_energy_certified"] >= contrast["high_energy_certified"]
     assert contrast["low_energy_certified"] == 3
     assert contrast["high_energy_certified"] == 0
+
+
+@pytest.mark.parametrize("runner", [run_soundness_sweep, run_recovery_sweep])
+@pytest.mark.parametrize("trials", [-5, 0])
+def test_sweeps_reject_nonpositive_trials(runner, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        runner(ExperimentConfig("sweep", trials=trials))
 
 
 def test_extremal_cosets_runner():
@@ -166,7 +175,7 @@ def test_cli_energy_and_bounds(tmp_path):
     set_path, signal_path, _, _ = _write_fixture_files(tmp_path)
     runner = CliRunner()
 
-    result = runner.invoke(main, ["energy", "--set", str(set_path), "--method", "quadruple"])
+    result = runner.invoke(main, ["energy", "--set", str(set_path)])
     assert result.exit_code == 0
     assert json.loads(result.output)["energy"] == 6
 
@@ -300,14 +309,56 @@ def test_cli_bounds_rejects_unusable_pairs(tmp_path, files, message):
     assert message in result.output
 
 
-@pytest.mark.parametrize("method", ["representation", "quadruple"])
-def test_cli_energy_rejects_an_empty_set(tmp_path, method):
+@pytest.mark.parametrize(
+    "route", [energy_representation, energy_quadruple], ids=["representation", "quadruple"]
+)
+def test_cli_energy_rejects_an_empty_set(tmp_path, route):
+    # every energy route counts 0 quadruples in the empty set, so E / |A|^3 is 0/0
+    assert route(SupportSet.from_coords(GroupParams(4, 1), [])) == 0
     set_path = tmp_path / "empty.json"
     set_path.write_text(json.dumps({"N": 4, "d": 1, "members": []}))
-    result = CliRunner().invoke(main, ["energy", "--set", str(set_path), "--method", method])
+    result = CliRunner().invoke(main, ["energy", "--set", str(set_path)])
     assert result.exit_code == 2
     assert not isinstance(result.exception, ValueError)  # no traceback
     assert "Invalid value for --set: the set has no members" in result.output
+
+
+def test_cli_energy_text_is_pinned(tmp_path):
+    set_path = tmp_path / "set.json"
+    save_set(SupportSet.from_coords(GroupParams(7, 1), [(0,), (1,), (2,)]), set_path)
+    result = CliRunner().invoke(main, ["energy", "--set", str(set_path)])
+    assert result.exit_code == 0
+    assert result.output == (
+        "{\n"
+        '  "energy": 19,\n'
+        '  "method": "representation",\n'
+        '  "normalized_energy": 0.703703703704,\n'
+        '  "normalized_energy_exact": "19/27",\n'
+        '  "set_size": 3\n'
+        "}\n"
+    )
+    # the energy has one route, so there is no route to select
+    result = CliRunner().invoke(main, ["energy", "--set", str(set_path), "--method", "quadruple"])
+    assert result.exit_code == 2
+    assert "No such option '--method'" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gowers", "--k", "3"], ["conjecture-scan", "--N", "16", "--d", "2", "--k", "3", "--trials", "1"]],
+    ids=["gowers", "conjecture-scan"],
+)
+def test_cli_reports_a_capacity_guard_in_one_line(tmp_path, args):
+    signal_path = tmp_path / "signal.json"
+    p = GroupParams(16, 2)
+    save_signal(Signal(p, np.ones(p.size, dtype=complex), ANALYST_PLUS), signal_path)
+    files = {"gowers": ["--signal", str(signal_path)]}
+    result = CliRunner().invoke(main, [*args, *files.get(args[0], [])])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.splitlines() == [
+        "Error: norm of order 3 on this group sums 4294967296 terms (limit 67108864)"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,13 @@ def test_l1_iteration_budget_reports_max_iter():
     assert "near_degenerate" in solution.diagnostics
 
 
+@pytest.mark.parametrize("max_iter", [-5, 0])
+def test_l1_rejects_a_nonpositive_iteration_budget(max_iter):
+    _, problem = four_point_problem()
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        l1_recover(problem, max_iter=max_iter)
+
+
 def test_l1_all_zero_observations():
     p = GroupParams(8, 1)
     f = Signal(p, np.zeros(8, dtype=complex))
