@@ -275,6 +275,8 @@ def recovery_condition(
         raise ValueError("support size must be >= 1")
     if not k_bound >= 0:
         raise ValueError(f"K must be >= 0, got {k_bound}")
+    if k_bound == math.inf:
+        raise ValueError("K must be finite, got inf")
     if not 2.0 <= alpha <= 3.0:
         raise ValueError(f"alpha must lie in [2, 3], got {alpha}")
 

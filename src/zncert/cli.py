@@ -140,7 +140,10 @@ def recover(
     else:
         if support_path is None:
             raise click.UsageError("--method lsq requires --support")
-        solution = least_squares_recover(problem, _load(load_set, support_path, "--support"))
+        support = _load(load_set, support_path, "--support")
+        if support.params != problem.params:
+            raise click.BadParameter("the set's group differs from the problem's", param_hint="--support")
+        solution = least_squares_recover(problem, support)
     _emit(canonical_json(solution.to_json_dict()), output)
 
 

@@ -90,13 +90,6 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     )
 
 
-def _coords(a: SupportSet) -> np.ndarray:
-    """Member coordinates as an (|A|, d) int64 array."""
-    return np.array([v.coords for v in a], dtype=np.int64).reshape(
-        len(a), a.params.dimension
-    )
-
-
 def _fft_counts(a: SupportSet) -> np.ndarray | None:
     """Dense r = 1_A * 1_A by FFT, rounded; None unless the rounding certifies.
 
@@ -107,7 +100,7 @@ def _fft_counts(a: SupportSet) -> np.ndarray | None:
     size = len(a)
     shape = (a.params.modulus,) * a.params.dimension
     indicator = np.zeros(shape)
-    indicator[tuple(_coords(a).T)] = 1.0
+    indicator[tuple(a.coords().T)] = 1.0
     spectrum = np.fft.rfftn(indicator)
     axes = tuple(range(a.params.dimension))
     r = np.fft.irfftn(spectrum * spectrum, s=shape, axes=axes).reshape(-1)
@@ -131,7 +124,7 @@ def _pair_counts(a: SupportSet) -> tuple[np.ndarray, np.ndarray]:
     n, size = a.params.modulus, len(a)
     if a.params.size >= 2**63:
         raise CapacityError(f"pair sums need N^d < 2^63, got N^d = {a.params.size}")
-    coords = _coords(a)
+    coords = a.coords()
     sums = counts = np.empty(0, dtype=np.int64)
     rows = max(1, PAIR_CHUNK // max(1, size))
     for start in range(0, size, rows):
@@ -265,10 +258,9 @@ def energy_growth_certificate(
             f"exhaustive growth certificate would enumerate {total} subsets"
             f" (limit {EXHAUSTIVE_SUBSET_LIMIT})"
         )
-    points = list(params.points())
     best = 0.0
     for s in range(1, cap + 1):
-        for subset in combinations(points, s):
-            lam = energy_representation(SupportSet(params, subset))
+        for subset in combinations(range(params.size), s):
+            lam = energy_representation(SupportSet.from_flat(params, subset))
             best = max(best, lam / s**alpha)
     return GrowthCertificate(best, alpha, mode, size_cap, total)

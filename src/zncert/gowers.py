@@ -168,8 +168,8 @@ def _scan_one(report: ConjectureScanReport, f: Signal) -> None:
             product=value,
             support_size=len(e),
             spectrum_support_size=len(sigma),
-            support=[list(v.coords) for v in e],
-            spectrum_support=[list(v.coords) for v in sigma],
+            support=e.coords().tolist(),
+            spectrum_support=sigma.coords().tolist(),
             direction=direction,
         )
         if value < report.min_product:
@@ -193,6 +193,8 @@ def conjecture_scan(
     "random" draws complex Gaussian values on uniformly random supports.
     Both directions of each sampled signal are scanned.
     """
+    if not 2 <= k <= MAX_ORDER:
+        raise ValueError(f"order must lie in [2, {MAX_ORDER}], got {k}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     report = ConjectureScanReport(params, k, sampler, trials, seed)

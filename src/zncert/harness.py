@@ -141,11 +141,6 @@ def certificates_to_csv(certs: list) -> str:
     return rows_to_csv(rows, CERTIFICATE_CSV_COLUMNS)
 
 
-def random_support(params: GroupParams, size: int, rng: np.random.Generator) -> SupportSet:
-    idx = rng.choice(params.size, size=size, replace=False)
-    return SupportSet(params, tuple(params.from_flat(int(i)) for i in idx))
-
-
 def _trial_count(cfg: ExperimentConfig, default: int) -> int:
     """The sweep's trial count: ``default`` when unset, else at least 1."""
     if cfg.trials is None:
@@ -413,7 +408,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
         e_size = int(rng.integers(1, 4))
         s_size = int(rng.integers(0, min(7, params.size)))
         f = random_signal(params, rng, support_size=e_size)
-        missing = random_support(params, s_size, rng) if s_size else SupportSet(params, ())
+        missing = SupportSet.from_flat(params, rng.choice(params.size, size=s_size, replace=False))
         growth = energy_growth_certificate(params, 2 * e_size, mode="trivial")
         row = _recovery_trial(params, f, missing, growth)
         row["trial"] = index
@@ -483,9 +478,8 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
         for subgroup in all_cyclic_subgroups(params):
             step = n // len(subgroup)
             for y in range(step):
-                f = indicator(shift_set(subgroup, params.vector((y,))))
-                e = support_of(f)
-                sigma = support_of(dft(f))
+                e = shift_set(subgroup, params.vector((y,)))  # the support of its indicator
+                sigma = support_of(dft(indicator(e)))
                 certs = certify_pair(e, sigma)
                 refined_point, refined_freq = certs["refined_point"], certs["refined_freq"]
                 tol = 1e-9 * params.size

@@ -3,15 +3,20 @@
 Everything here is exact integer arithmetic: residues are canonical,
 membership queries are set lookups, and set contents are kept sorted in
 lexicographic coordinate order so that outputs are deterministic.
+Only this module knows how a set is stored: other modules turn sets into
+arrays and back only through ``SupportSet.from_flat``, ``coords()`` and ``flat_indices()``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import CapacityError, StructureError
 
@@ -108,15 +113,6 @@ class RingVector:
             self.modulus,
         )
 
-    def __neg__(self) -> RingVector:
-        return RingVector(tuple(-a % self.modulus for a in self.coords), self.modulus)
-
-    def __sub__(self, other: RingVector) -> RingVector:
-        return self + (-other)
-
-    def scale(self, k: int) -> RingVector:
-        return RingVector(tuple(k * a % self.modulus for a in self.coords), self.modulus)
-
     def dot(self, other: RingVector) -> int:
         """Inner product sum_i x_i y_i reduced mod N."""
         self._check_compatible(other)
@@ -150,6 +146,14 @@ class SupportSet:
     ) -> SupportSet:
         return cls(params, tuple(params.vector(c) for c in coords))
 
+    @classmethod
+    def from_flat(cls, params: GroupParams, flat: Iterable[int]) -> SupportSet:
+        """The points at row-major indices in any order, repeats allowed, each in [0, N^d)."""
+        flat = np.asarray(flat)
+        if flat.size and flat.dtype.kind not in "iu":
+            raise ValueError(f"flat indices must be integers, got dtype {flat.dtype}")
+        return cls(params, tuple(params.from_flat(i) for i in flat.tolist()))
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -162,9 +166,14 @@ class SupportSet:
             and v.coords in self._lookup  # type: ignore[attr-defined]
         )
 
-    def flat_indices(self) -> list[int]:
-        """Row-major indices of the members (sorted, since members are)."""
-        return [self.params.flat_index(v) for v in self.members]
+    def coords(self) -> np.ndarray:
+        """Member coordinates as an (|A|, d) int64 array, in member order."""
+        rows = [v.coords for v in self.members]
+        return np.array(rows, dtype=np.int64).reshape(len(self), self.params.dimension)
+
+    def flat_indices(self) -> np.ndarray:
+        """Row-major indices of the members as int64 (ascending, since members are)."""
+        return np.array([self.params.flat_index(v) for v in self.members], dtype=np.int64)
 
 
 def make_interval_grid(params: GroupParams, m: int) -> SupportSet:
@@ -180,12 +189,12 @@ def make_cyclic_subgroup(params: GroupParams, generator: RingVector) -> SupportS
     """The cyclic subgroup {k * g : k >= 0} generated by one element."""
     if generator.modulus != params.modulus:
         raise ValueError("generator does not live in the declared group")
-    members = [params.zero()]
-    current = params.vector(generator.coords)
-    while current.coords != members[0].coords:
-        members.append(current)
-        current = current + generator
-    return SupportSet(params, tuple(members))
+    g = params.vector(generator.coords).coords
+    # With c = gcd(N, g) and g = c * u, g has order N / c and k * g = c * (k * u mod N / c).
+    c = math.gcd(params.modulus, *g)
+    order = params.modulus // c
+    rows = np.arange(order)[:, None] * (np.array(g) // c) % order * c
+    return SupportSet.from_coords(params, rows.tolist())
 
 
 def product_set(a: SupportSet, b: SupportSet) -> SupportSet:
@@ -193,19 +202,20 @@ def product_set(a: SupportSet, b: SupportSet) -> SupportSet:
     if a.params.modulus != b.params.modulus:
         raise ValueError("product requires equal moduli")
     params = GroupParams(a.params.modulus, a.params.dimension + b.params.dimension)
-    return SupportSet.from_coords(
-        params, (x.coords + y.coords for x in a for y in b)
-    )
+    rows = np.hstack([np.repeat(a.coords(), len(b), axis=0), np.tile(b.coords(), (len(a), 1))])
+    return SupportSet.from_coords(params, rows.tolist())
 
 
 def shift_set(a: SupportSet, t: RingVector) -> SupportSet:
     """Translate: {x + t : x in A}. Cardinality is preserved."""
-    return SupportSet(a.params, tuple(x + t for x in a))
+    if t.modulus != a.params.modulus or t.dimension != a.params.dimension:
+        raise ValueError("points live in different groups")
+    return SupportSet.from_coords(a.params, (a.coords() + t.coords).tolist())
 
 
 def negate_set(a: SupportSet) -> SupportSet:
     """Pointwise negation {-x : x in A}."""
-    return SupportSet(a.params, tuple(-x for x in a))
+    return SupportSet.from_coords(a.params, (-a.coords()).tolist())
 
 
 def is_subgroup(a: SupportSet) -> bool:
@@ -233,23 +243,20 @@ def annihilator(h: SupportSet) -> SupportSet:
 def all_cyclic_subgroups(params: GroupParams) -> list[SupportSet]:
     """Every distinct subgroup generated by a single element, sorted by size."""
     params.require_dense("subgroup enumeration")
-    seen: dict[tuple[tuple[int, ...], ...], SupportSet] = {}
-    for g in params.points():
-        sub = make_cyclic_subgroup(params, g)
-        seen.setdefault(tuple(v.coords for v in sub), sub)
-    return sorted(seen.values(), key=lambda s: (len(s), tuple(v.coords for v in s)))
+    subgroups = {make_cyclic_subgroup(params, g) for g in params.points()}
+    return sorted(subgroups, key=lambda s: (len(s), s.flat_indices().tolist()))
 
 
 def complement(a: SupportSet) -> SupportSet:
     a.params.require_dense("complement")
-    return SupportSet(a.params, tuple(p for p in a.params.points() if p not in a))
+    return SupportSet.from_flat(a.params, np.setdiff1d(np.arange(a.params.size), a.flat_indices()))
 
 
 def set_to_json_dict(a: SupportSet) -> dict:
     return {
         "N": a.params.modulus,
         "d": a.params.dimension,
-        "members": [list(v.coords) for v in a],
+        "members": a.coords().tolist(),
     }
 
 

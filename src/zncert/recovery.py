@@ -99,10 +99,7 @@ class RecoveryProblem:
     @property
     def missing(self) -> SupportSet:
         """The unobserved frequencies, in row-major order."""
-        params = self.params
-        return SupportSet(
-            params, tuple(params.from_flat(int(i)) for i in np.flatnonzero(~self.mask))
-        )
+        return SupportSet.from_flat(self.params, np.flatnonzero(~self.mask))
 
 
 @dataclass(frozen=True)
@@ -291,12 +288,8 @@ def _least_squares_system(
     the support's members.
     """
     params = problem.params
-    shape = (params.modulus,) * params.dimension
-    frequencies = np.stack(np.unravel_index(np.flatnonzero(problem.mask), shape), axis=-1)
-    points = np.stack(
-        np.unravel_index(np.array(support.flat_indices(), dtype=np.int64), shape), axis=-1
-    )
-    phase = (frequencies @ points.T) % params.modulus
+    frequencies = np.argwhere(problem.mask.reshape((params.modulus,) * params.dimension))
+    phase = (frequencies @ support.coords().T) % params.modulus
     arg = problem.convention.forward_sign * 2j * np.pi * phase
     # Python's complex / int divides each part; numpy's complex division
     # multiplies by a reciprocal, which rounds differently.
@@ -357,6 +350,8 @@ def uniqueness_check(e_size: int, s: SupportSet, params: GroupParams) -> bool:
     """
     if e_size < 0:
         raise ValueError("support size must be >= 0")
+    if s.params != params:
+        raise ValueError("set lives in a different group")
     return 2 * e_size * len(s) < params.size
 
 
@@ -391,7 +386,7 @@ def concentration_check(
 def problem_to_json_dict(problem: RecoveryProblem) -> dict:
     spectrum = Signal(problem.params, problem.target, problem.convention, side=FREQUENCY)
     data = signal_to_json_dict(spectrum)
-    data["missing"] = [list(m.coords) for m in problem.missing]
+    data["missing"] = problem.missing.coords().tolist()
     return data
 
 

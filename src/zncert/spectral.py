@@ -92,6 +92,8 @@ class Signal:
         object.__setattr__(self, "values", vals)
 
     def value_at(self, v: RingVector) -> complex:
+        if v.modulus != self.params.modulus or v.dimension != self.params.dimension:
+            raise ValueError("point lives in a different group")
         return complex(self.values[self.params.flat_index(v)])
 
     def l1_norm(self) -> float:
@@ -186,8 +188,7 @@ def support_of(f: Signal, tau: float | None = None) -> SupportSet:
         tau = default_threshold(f.values)
     if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    idx = np.nonzero(np.abs(f.values) > tau)[0]
-    return SupportSet(f.params, tuple(f.params.from_flat(int(i)) for i in idx))
+    return SupportSet.from_flat(f.params, np.flatnonzero(np.abs(f.values) > tau))
 
 
 def random_signal(

@@ -7,6 +7,11 @@ is part of the library.
 - ``energy_quadruple``: the additive energy as the literal count of
   quadruples x1 + x2 = x3 + x4, cubic in |A|.
 - ``energy_fourier_check``: the floating cross-check N^d * sum |1hat_A|^4.
+- ``negate``, ``shift_set_points``, ``negate_set_points``,
+  ``product_set_points``, ``cyclic_subgroup_points`` and
+  ``complement_points``: the set algebra of ``zncert.lattice`` by point
+  arithmetic, one ``RingVector`` at a time, where the library computes on
+  coordinate arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from zncert import spectral
 from zncert.errors import CapacityError
-from zncert.lattice import SupportSet
+from zncert.lattice import GroupParams, RingVector, SupportSet
 
 # The literal quadruple loop is cubic; larger sets must use the
 # representation route, which is equally exact.
@@ -47,3 +52,35 @@ def energy_fourier_check(a: SupportSet) -> float:
     a.params.require_dense("Fourier energy check")
     spec = spectral.indicator_spectrum(a)
     return float(a.params.size * np.sum(np.abs(spec.values) ** 4))
+
+
+def negate(v: RingVector) -> RingVector:
+    """The point -v, coordinate by coordinate."""
+    return RingVector(tuple(-c % v.modulus for c in v.coords), v.modulus)
+
+
+def shift_set_points(a: SupportSet, t: RingVector) -> SupportSet:
+    return SupportSet(a.params, tuple(x + t for x in a))
+
+
+def negate_set_points(a: SupportSet) -> SupportSet:
+    return SupportSet(a.params, tuple(negate(x) for x in a))
+
+
+def product_set_points(a: SupportSet, b: SupportSet) -> SupportSet:
+    params = GroupParams(a.params.modulus, a.params.dimension + b.params.dimension)
+    return SupportSet.from_coords(params, (x.coords + y.coords for x in a for y in b))
+
+
+def cyclic_subgroup_points(params: GroupParams, generator: RingVector) -> SupportSet:
+    """Add the generator to itself until the sum returns to 0."""
+    members = [params.zero()]
+    current = generator
+    while current != members[0]:
+        members.append(current)
+        current = current + generator
+    return SupportSet(params, tuple(members))
+
+
+def complement_points(a: SupportSet) -> SupportSet:
+    return SupportSet(a.params, tuple(p for p in a.params.points() if p not in a))

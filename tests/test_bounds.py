@@ -233,6 +233,9 @@ def test_recovery_condition_validation():
         recovery_condition(2, s, -1.0, 3.0)
     with pytest.raises(ValueError, match="K must be >= 0, got nan"):
         recovery_condition(2, s, float("nan"), 3.0)
+    for variant in ("as-stated", "proof-final"):
+        with pytest.raises(ValueError, match="K must be finite, got inf"):
+            recovery_condition(2, s, math.inf, 3.0, variant=variant)
     with pytest.raises(ValueError):
         recovery_condition(2, s, 1.0, 3.5)
     with pytest.raises(ValueError):

@@ -139,6 +139,9 @@ def test_scan_validation():
         conjecture_scan(GroupParams(7, 1), 2, sampler="exhaustive-small")
     with pytest.raises(ValueError):
         conjecture_scan(GroupParams(5, 1), 2, sampler="antigravity")
+    for k in (1, 4, 7):  # checked before any signal is drawn
+        with pytest.raises(ValueError, match=rf"order must lie in \[2, 3\], got {k}"):
+            conjecture_scan(GroupParams(4, 1), k, trials=0)
 
 
 def test_scan_rejects_negative_trials():

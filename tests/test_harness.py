@@ -414,6 +414,20 @@ def test_cli_recover(tmp_path):
     assert result.exit_code != 0  # lsq needs a support candidate
 
 
+def test_cli_recover_rejects_a_support_from_another_group(tmp_path):
+    _, _, problem_path, _ = _write_fixture_files(tmp_path)
+    support_path = tmp_path / "z5.json"
+    save_set(SupportSet.from_coords(GroupParams(5, 1), [(0,), (3,)]), support_path)
+    args = ["recover", "--problem", str(problem_path), "--method", "lsq", "--support", str(support_path)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [
+        "Error: Invalid value for --support: the set's group differs from the problem's"
+    ]
+
+
 def test_cli_gowers_and_scan(tmp_path):
     _, signal_path, _, _ = _write_fixture_files(tmp_path)
     runner = CliRunner()

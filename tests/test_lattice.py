@@ -3,6 +3,7 @@
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,14 @@ from zncert.lattice import (
     set_from_json_dict,
     set_to_json_dict,
     shift_set,
+)
+from oracles import (
+    complement_points,
+    cyclic_subgroup_points,
+    negate,
+    negate_set_points,
+    product_set_points,
+    shift_set_points,
 )
 
 
@@ -71,7 +80,7 @@ def test_group_laws(data):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
     assert x + params.zero() == x
-    assert x + (-x) == params.zero()
+    assert x + negate(x) == params.zero()
     assert x.dot(y) == y.dot(x)
 
 
@@ -141,7 +150,7 @@ def test_shift_set():
 @given(group_and_vectors())
 def test_shift_preserves_cardinality(data):
     params, vecs = data
-    members = tuple(v.scale(k) for k, v in enumerate(vecs, start=1))
+    members = tuple(params.vector([k * c for c in v.coords]) for k, v in enumerate(vecs, start=1))
     a = SupportSet(params, members)
     assert len(shift_set(a, vecs[0])) == len(a)
 
@@ -234,3 +243,85 @@ def test_set_json_round_trip(tmp_path):
 def test_set_file_rejects_members_outside_the_group(members, culprit):
     with pytest.raises(ValueError, match=re.escape(culprit)):
         set_from_json_dict({"N": 4, "d": 1, "members": members})
+
+
+def random_subset(params: GroupParams, rng, size: int | None = None) -> SupportSet:
+    size = int(rng.integers(0, min(params.size, 12) + 1)) if size is None else size
+    return SupportSet.from_flat(params, rng.choice(params.size, size=size, replace=False))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_set_algebra_matches_point_oracles(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(25):
+        params = GroupParams(int(rng.integers(2, 9)), d)
+        for a in (random_subset(params, rng), SupportSet(params, ())):
+            t = params.vector(rng.integers(-20, 20, size=d).tolist())
+            assert shift_set(a, t) == shift_set_points(a, t)
+            assert negate_set(a) == negate_set_points(a)
+            assert complement(a) == complement_points(a)
+            line = GroupParams(params.modulus, 1)
+            for b in (random_subset(line, rng), SupportSet(line, ())):
+                assert product_set(a, b) == product_set_points(a, b)
+        g = params.vector(rng.integers(0, params.modulus, size=d).tolist())
+        assert make_cyclic_subgroup(params, g) == cyclic_subgroup_points(params, g)
+        assert make_cyclic_subgroup(params, params.zero()) == SupportSet(params, (params.zero(),))
+
+
+def test_cyclic_subgroup_of_a_large_modulus_lists_only_its_members():
+    p = GroupParams(2**40, 2)
+    g = p.vector([2**39, 3 * 2**38])  # order 4
+    sub = make_cyclic_subgroup(p, g)
+    assert coords(sub) == [(0, 0), (0, 2**39), (2**39, 2**38), (2**39, 3 * 2**38)]
+    assert sub == cyclic_subgroup_points(p, g)
+
+
+def test_set_algebra_keeps_its_group_checks():
+    p = GroupParams(4, 1)
+    a = SupportSet.from_coords(p, [(1,)])
+    for bad in (RingVector((1,), 5), GroupParams(4, 2).vector([1, 1])):
+        for s in (a, SupportSet(p, ())):
+            with pytest.raises(ValueError, match="points live in different groups"):
+                shift_set(s, bad)
+    with pytest.raises(ValueError, match="generator does not live in the declared group"):
+        make_cyclic_subgroup(p, RingVector((1,), 5))
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        make_cyclic_subgroup(p, RingVector((1, 1), 4))
+    with pytest.raises(ValueError, match="product requires equal moduli"):
+        product_set(a, SupportSet.from_coords(GroupParams(5, 1), [(1,)]))
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (7, 1), (4, 2), (5, 2), (3, 3)])
+def test_array_edges_round_trip(n, d):
+    p = GroupParams(n, d)
+    rng = np.random.default_rng(n * 10 + d)
+    flat = rng.integers(0, p.size, size=2 * p.size)  # unordered, with repeats
+    a = SupportSet.from_flat(p, flat)
+    expected = sorted(set(flat.tolist()))
+    assert a.flat_indices().dtype == np.int64 and a.flat_indices().tolist() == expected
+    assert [p.flat_index(v) for v in a] == expected
+    rows = a.coords()
+    assert rows.dtype == np.int64 and rows.shape == (len(a), d)
+    assert [tuple(r) for r in rows.tolist()] == coords(a)
+    assert SupportSet.from_flat(p, a.flat_indices()) == a
+    assert SupportSet.from_coords(p, rows.tolist()) == a
+    assert SupportSet.from_flat(p, list(reversed(expected))) == a
+    empty = SupportSet.from_flat(p, [])
+    assert len(empty) == 0 and empty == SupportSet(p, ())
+    assert empty.coords().shape == (0, d) and empty.coords().dtype == np.int64
+    assert empty.flat_indices().shape == (0,) and empty.flat_indices().dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "flat, message",
+    [
+        ([0, 25], "flat index 25 out of range for size 25"),
+        (np.array([3, -1]), "flat index -1 out of range for size 25"),
+        ([1.0, 2.0], "flat indices must be integers, got dtype float64"),
+        ([True], "flat indices must be integers, got dtype bool"),
+        (["3"], "flat indices must be integers"),
+    ],
+)
+def test_from_flat_rejects_indices_outside_the_group(flat, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SupportSet.from_flat(GroupParams(5, 2), flat)

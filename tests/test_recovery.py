@@ -23,6 +23,7 @@ from zncert.recovery import (
     save_problem,
     uniqueness_check,
 )
+from oracles import negate
 
 P4 = GroupParams(4, 1)
 
@@ -214,6 +215,10 @@ def test_uniqueness_check_examples():
     p16 = GroupParams(16, 1)
     s3 = SupportSet.from_coords(p16, [(1,), (2,), (3,)])
     assert uniqueness_check(2, s3, p16)
+    for other in (GroupParams(5, 1), GroupParams(4, 2)):
+        s = SupportSet.from_coords(other, [(1,) * other.dimension])
+        with pytest.raises(ValueError, match="set lives in a different group"):
+            uniqueness_check(1, s, P4)
 
 
 def test_concentration_equality_case():
@@ -388,7 +393,7 @@ def oracle_l1(problem, feas_tol=1e-8, obj_tol=1e-8, max_iter=50000):
     target = np.zeros(params.size, dtype=np.complex128)
     mask = np.zeros(params.size, dtype=bool)
     for m, v in observed(problem).items():
-        idx = params.flat_index(-m if problem.convention.forward_sign == 1 else m)
+        idx = params.flat_index(negate(m) if problem.convention.forward_sign == 1 else m)
         target[idx] = v / factor
         mask[idx] = True
     scale = params.size**-0.5

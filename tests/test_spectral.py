@@ -24,6 +24,7 @@ from zncert.spectral import (
     signal_to_json_dict,
     support_of,
 )
+from oracles import negate
 
 ALL_CONVENTIONS = [
     Convention(norm, sign)
@@ -301,8 +302,16 @@ def test_round_trip_property(group, convention, seed):
 def test_negation_permutation_matches_point_loop(n, d):
     p = GroupParams(n, d)
     literal = np.array(
-        [p.flat_index(-p.from_flat(i)) for i in range(p.size)], dtype=np.int64
+        [p.flat_index(negate(p.from_flat(i))) for i in range(p.size)], dtype=np.int64
     )
     perm = negation_permutation(p)
     assert perm.dtype == np.int64
     assert np.array_equal(perm, literal)
+
+
+def test_value_at_rejects_a_point_from_another_group():
+    f = Signal(GroupParams(4, 1), np.arange(4, dtype=complex))
+    assert f.value_at(GroupParams(4, 1).vector([3])) == 3
+    for point in (GroupParams(7, 1).vector([3]), GroupParams(4, 2).vector([0, 3])):
+        with pytest.raises(ValueError, match="point lives in a different group"):
+            f.value_at(point)
