@@ -10,18 +10,21 @@ of signals whose spectra match the observations. The projection is one
 transform round trip with the observed coordinates overwritten; it is
 performed in the unitary convention, to which the solver converts
 internally regardless of the problem's own convention. The transform is
-the dense character-matrix sum of ``spectral``. Each solve builds the
-minus-sign matrix once (half of it, mirrored), derives the plus-sign one
-as its conjugate, and drops both when it returns; nothing is cached
-across solves. The observed indices and values are gathered once per
-solve, and the iteration scales and thresholds in place.
+the dense character-matrix sum of ``spectral``. Each solve takes the
+minus-sign matrix from the transform's cache, so building a problem and
+solving it on one modulus build that matrix once between them, and later
+problems of that modulus build nothing; the solve derives the plus-sign
+matrix as its conjugate and drops it when it returns. The observed
+indices and values are gathered once per solve, and the iteration scales
+and thresholds in place.
 
 A problem is a frozen record of its group, its convention and two
 row-major arrays, the observed values and the observed mask.
 ``RecoveryProblem.from_spectrum`` is the one way to build it; ``from_signal``
 and the problem-file loader go through it. The missing set is the
 complement of the mask, and the least-squares system is built from the
-arrays in one pass. The solver's tolerances and step rule are module
+arrays in one pass, its entries gathered from a table of the N characters
+of the integer phases. The solver's tolerances and step rule are module
 constants; only its iteration budget is an argument.
 """
 
@@ -80,6 +83,10 @@ class RecoveryProblem:
     @classmethod
     def from_spectrum(cls, spectrum: Signal, missing: SupportSet) -> RecoveryProblem:
         """Build a problem from a full spectrum by erasing the missing entries."""
+        if spectrum.side != FREQUENCY:
+            raise ValueError(
+                f"spectrum must be a frequency-side signal, got a {spectrum.side}-side one"
+            )
         params = spectrum.params
         if missing.params != params:
             raise ValueError("missing set lives in a different group")
@@ -174,8 +181,8 @@ def l1_recover(
     params.require_dense("l1 recovery")
     target, observed_mask = _unitary_constraints(problem)
     scale = params.size**-0.5
-    # Built once per solve and released with it: a cache kept across solves
-    # would hold every size's matrices for the life of the process.
+    # The minus-sign matrix comes from the transform's bounded cache; only
+    # the plus-sign one is built here, and it is released with the solve.
     w = _character_matrices(params.modulus)
     observed = np.flatnonzero(observed_mask)
     observed_target = target[observed]
@@ -261,6 +268,8 @@ def l1_objective_profile(
     """
     if direction.params != problem.params:
         raise ValueError("direction lives in a different group")
+    if base is not None and base.params != problem.params:
+        raise ValueError("base lives in a different group")
     spec = dft(
         Signal(problem.params, direction.values, problem.convention, side=TIME)
     )
@@ -285,17 +294,19 @@ def _least_squares_system(
     """Matrix and right side of ghat(m) = observed(m) over {g(x) : x in support}.
 
     Rows run over the observed frequencies in row-major order, columns over
-    the support's members.
+    the support's members. An entry depends only on its phase m.x mod N, so
+    the entries are gathered from a table of the N values, each computed by
+    the expression a per-entry build would use, with the same bits.
     """
     params = problem.params
     frequencies = np.argwhere(problem.mask.reshape((params.modulus,) * params.dimension))
     phase = (frequencies @ support.coords().T) % params.modulus
-    arg = problem.convention.forward_sign * 2j * np.pi * phase
+    arg = problem.convention.forward_sign * 2j * np.pi * np.arange(params.modulus)
     # Python's complex / int divides each part; numpy's complex division
     # multiplies by a reciprocal, which rounds differently.
     arg.imag /= params.modulus
-    matrix = problem.convention.forward_scale(params) * np.exp(arg)
-    return matrix, problem.target[problem.mask]
+    table = problem.convention.forward_scale(params) * np.exp(arg)
+    return table[phase], problem.target[problem.mask]
 
 
 def least_squares_recover(

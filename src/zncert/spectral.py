@@ -6,17 +6,20 @@ exponent sign in the forward transform. The transform is the defining
 dense sum: the N x N character matrix applied along each axis, evaluated
 exactly (up to floating point) rather than by an FFT, whose different
 roundoff would move report fields printed to 12 significant digits.
-Each transform builds its matrix once, in bounded row blocks. The matrix
-is symmetric bit for bit (each entry is a function of m*x), so only the
-entries on and above each block's diagonal are computed and the rest are
-mirrored. The transform applies it along each axis with one BLAS product.
-Nothing is cached between calls; the l1 solver builds one matrix per solve
-and derives the other sign from it.
+A matrix is built in bounded row blocks. It is symmetric bit for bit
+(each entry is a function of m*x), so only the entries on and above each
+block's diagonal are computed and the rest are mirrored. The transform
+applies it along each axis with one BLAS product. The minus-sign matrix of
+each modulus is built once per process and kept, read-only, in a
+least-recently-used cache of at most ``CHARACTER_CACHE_BYTES``; a larger
+matrix is built on every call and dropped. The plus-sign matrix is derived
+from the minus-sign one on each call, and so is not kept.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
@@ -130,17 +133,57 @@ def _character_matrix(n: int, sign: int) -> np.ndarray:
     return w
 
 
+#: Total bytes of the minus-sign character matrices kept between calls:
+#: 16 MiB holds N = 1024, or N = 256 and 512 together with the small ones.
+CHARACTER_CACHE_BYTES = 1 << 24
+
+# Minus-sign matrices by modulus, least recently used first.
+_character_cache: dict[int, np.ndarray] = {}
+_character_cache_lock = threading.Lock()
+
+
+def _minus_character_matrix(n: int) -> np.ndarray:
+    """``_character_matrix(n, -1)``, read-only, from the cache when it is there.
+
+    A matrix that fits the byte budget is kept, evicting the least recently
+    used ones until the kept bytes fit again; a larger one is returned
+    without being kept.
+    """
+    with _character_cache_lock:
+        w = _character_cache.pop(n, None)
+        if w is not None:
+            _character_cache[n] = w
+            return w
+    w = _character_matrix(n, -1)
+    w.setflags(write=False)
+    if w.nbytes <= CHARACTER_CACHE_BYTES:
+        with _character_cache_lock:
+            # another thread may have kept its own build of n meanwhile
+            _character_cache.pop(n, None)
+            _character_cache[n] = w
+            kept = sum(m.nbytes for m in _character_cache.values())
+            while kept > CHARACTER_CACHE_BYTES:
+                kept -= _character_cache.pop(next(iter(_character_cache))).nbytes
+    return w
+
+
 def _character_matrices(n: int) -> dict[int, np.ndarray]:
-    """Both signs' character matrices, keyed by sign, from one build.
+    """Both signs' character matrices, keyed by sign, from one minus-sign matrix.
 
     The plus-sign matrix is the conjugate of the minus-sign one except for
     the sign of the imaginary zero at m*x = 0, which adding 0.0 makes
-    positive, so its bits match ``_character_matrix(n, 1)``.
+    positive, so its bits match ``_character_matrix(n, 1)``. It is a new,
+    writable array; the minus-sign one is the cached, read-only matrix.
     """
-    minus = _character_matrix(n, -1)
+    minus = _minus_character_matrix(n)
     plus = np.conj(minus)
     plus += 0.0
     return {-1: minus, 1: plus}
+
+
+def _signed_character_matrix(n: int, sign: int) -> np.ndarray:
+    """The character matrix of one sign, deriving only the one asked for."""
+    return _minus_character_matrix(n) if sign == -1 else _character_matrices(n)[1]
 
 
 def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray) -> np.ndarray:
@@ -163,7 +206,7 @@ def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray
 
 def dft(f: Signal) -> Signal:
     """Forward transform under the signal's own convention."""
-    w = _character_matrix(f.params.modulus, f.convention.forward_sign)
+    w = _signed_character_matrix(f.params.modulus, f.convention.forward_sign)
     out = _apply_axis_transform(f.values, f.params, w)
     out *= f.convention.forward_scale(f.params)
     return Signal(f.params, out, f.convention, side=FREQUENCY)
@@ -171,7 +214,7 @@ def dft(f: Signal) -> Signal:
 
 def idft(spectrum: Signal) -> Signal:
     """Inverse transform; idft(dft(f)) reproduces f up to roundoff."""
-    w = _character_matrix(spectrum.params.modulus, -spectrum.convention.forward_sign)
+    w = _signed_character_matrix(spectrum.params.modulus, -spectrum.convention.forward_sign)
     out = _apply_axis_transform(spectrum.values, spectrum.params, w)
     out *= spectrum.convention.inverse_scale(spectrum.params)
     return Signal(spectrum.params, out, spectrum.convention, side=TIME)

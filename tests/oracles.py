@@ -12,6 +12,9 @@ is part of the library.
   ``complement_points``: the set algebra of ``zncert.lattice`` by point
   arithmetic, one ``RingVector`` at a time, where the library computes on
   coordinate arrays.
+- ``least_squares_system_per_entry``: the least-squares system with one
+  ``exp`` per matrix entry, where the library gathers its entries from a
+  table of the N characters.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from zncert import spectral
 from zncert.errors import CapacityError
 from zncert.lattice import GroupParams, RingVector, SupportSet
+from zncert.recovery import RecoveryProblem
 
 # The literal quadruple loop is cubic; larger sets must use the
 # representation route, which is equally exact.
@@ -84,3 +88,22 @@ def cyclic_subgroup_points(params: GroupParams, generator: RingVector) -> Suppor
 
 def complement_points(a: SupportSet) -> SupportSet:
     return SupportSet(a.params, tuple(p for p in a.params.points() if p not in a))
+
+
+def least_squares_system_per_entry(
+    problem: RecoveryProblem, support: SupportSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right side of ghat(m) = observed(m) over {g(x) : x in support}.
+
+    Rows run over the observed frequencies in row-major order, columns over
+    the support's members.
+    """
+    params = problem.params
+    frequencies = np.argwhere(problem.mask.reshape((params.modulus,) * params.dimension))
+    phase = (frequencies @ support.coords().T) % params.modulus
+    arg = problem.convention.forward_sign * 2j * np.pi * phase
+    # Python's complex / int divides each part; numpy's complex division
+    # multiplies by a reciprocal, which rounds differently.
+    arg.imag /= params.modulus
+    matrix = problem.convention.forward_scale(params) * np.exp(arg)
+    return matrix, problem.target[problem.mask]

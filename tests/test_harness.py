@@ -262,12 +262,13 @@ SIGNAL_4 = {"N": 4, "d": 1, "values": [[1, 0], [0, 0], [0, 0], [2, 0]]}
         (["recover"], "--problem", [1], "the file must hold a JSON object, got list"),
         (["gowers"], "--signal", {**SIGNAL_4, "N": None}, "N and d must be integers, got None and 1"),
         (["gowers"], "--signal", {**SIGNAL_4, "convention": 5}, "convention must be a JSON object, got 5"),
+        (["recover"], "--problem", {**SIGNAL_4, "side": "time", "missing": [[1]]}, "spectrum must be a frequency-side signal, got a time-side one"),
     ],
     ids=[
         "bounds-count", "bounds-key", "gowers-count", "gowers-key", "recover-missing", "recover-count", "recover-key",
         "bounds-scalar", "gowers-short-pair", "recover-string", "bounds-values-scalar", "recover-values-scalar",
         "recover-missing-scalar", "recover-missing-object", "bounds-top-level-list", "recover-top-level-list",
-        "gowers-null-modulus", "gowers-convention-scalar",
+        "gowers-null-modulus", "gowers-convention-scalar", "recover-time-side",
     ],
 )
 def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, option, data, message):

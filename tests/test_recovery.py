@@ -23,7 +23,7 @@ from zncert.recovery import (
     save_problem,
     uniqueness_check,
 )
-from oracles import negate
+from oracles import least_squares_system_per_entry, negate
 
 P4 = GroupParams(4, 1)
 
@@ -62,6 +62,9 @@ def test_problem_coverage_invariant():
     # a missing set from another group is rejected
     with pytest.raises(ValueError, match="different group"):
         RecoveryProblem.from_spectrum(spectrum, SupportSet.from_coords(GroupParams(5, 1), [(1,)]))
+    # so is a time-side signal given as the spectrum
+    with pytest.raises(ValueError, match="frequency-side signal, got a time-side one"):
+        RecoveryProblem.from_spectrum(f, SupportSet(P4, ()))
 
 
 def test_l1_recovers_four_point_signal():
@@ -161,6 +164,16 @@ def test_objective_profile_rejects_infeasible_direction():
     bad = Signal(P4, np.array([1, 0, 0, 0], dtype=complex), ANALYST_PLUS)
     with pytest.raises(ValueError):
         l1_objective_profile(problem, bad, [0.0])
+
+
+def test_objective_profile_rejects_a_base_from_another_group():
+    p = GroupParams(8, 1)
+    f = Signal(p, np.array([1, 0, 0, 0, 2, 0, 0, 0], dtype=complex))
+    problem = RecoveryProblem.from_signal(f, SupportSet.from_coords(p, [(1,)]))
+    direction = Signal(p, np.exp(2j * np.pi * np.arange(8) / 8))  # spectrum on {1}
+    base = Signal(GroupParams(2, 3), f.values)  # the same 8 values on Z_2^3
+    with pytest.raises(ValueError, match="base lives in a different group"):
+        l1_objective_profile(problem, direction, [0.0, 1.0], base=base)
 
 
 def test_least_squares_with_true_support():
@@ -365,6 +378,31 @@ def test_least_squares_system_matches_double_loop(n, d, convention):
     literal_matrix, literal_rhs = literal_least_squares_system(problem, support)
     assert same_bits(matrix, literal_matrix)
     assert same_bits(rhs, literal_rhs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "convention",
+    [Convention(norm, sign) for norm in ("unitary", "analyst") for sign in ("minus-forward", "plus-forward")],
+)
+def test_least_squares_system_matches_the_per_entry_build(d, convention):
+    rng = np.random.default_rng([d, 31])
+    for n in {1: (2, 16, 97, 256), 2: (3, 12, 31), 3: (2, 5, 9)}[d]:
+        p = GroupParams(n, d)
+        f = Signal(p, rng.normal(size=p.size) + 1j * rng.normal(size=p.size), convention)
+        s_flat = rng.choice(p.size, size=int(rng.integers(0, p.size)), replace=False)
+        e_flat = rng.choice(p.size, size=int(rng.integers(1, min(p.size, 40) + 1)), replace=False)
+        missing = SupportSet.from_flat(p, s_flat)
+        everything = SupportSet.from_flat(p, np.arange(p.size))
+        for problem in (
+            RecoveryProblem.from_signal(f, missing),
+            RecoveryProblem.from_signal(f, everything),  # every frequency missing
+        ):
+            for support in (SupportSet.from_flat(p, e_flat), SupportSet(p, ())):
+                matrix, rhs = _least_squares_system(problem, support)
+                oracle_matrix, oracle_rhs = least_squares_system_per_entry(problem, support)
+                assert same_bits(matrix, oracle_matrix)
+                assert same_bits(rhs, oracle_rhs)
 
 
 def literal_axis_transform(values, params, sign):

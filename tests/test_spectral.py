@@ -1,19 +1,26 @@
 """Transforms, conventions, supports, and the indicator-spectrum identities."""
 
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zncert import spectral
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, annihilator
+from zncert.recovery import RecoveryProblem, l1_recover
 from zncert.spectral import (
     ANALYST_PLUS,
     CHARACTER_BLOCK,
+    UNITARY_MINUS,
     Convention,
     Signal,
     _apply_axis_transform,
     _character_matrices,
     _character_matrix,
+    _minus_character_matrix,
     convert_convention,
     dft,
     idft,
@@ -246,12 +253,138 @@ def test_character_matrix_matches_one_shot_build(n, sign, block, monkeypatch):
 @pytest.mark.parametrize("n", CHARACTER_SIZES)
 @pytest.mark.parametrize("block", [CHARACTER_BLOCK, 1000])
 def test_character_matrices_match_one_shot_builds(n, block, monkeypatch):
-    # the plus-sign matrix derived from the minus-sign one by conjugation
+    # the plus-sign matrix derived from the minus-sign one by conjugation,
+    # from the call that builds the minus-sign matrix and from the one that
+    # finds it cached (n = 2048 is over the budget and built both times);
+    # the cache starts empty, so the build runs at this block size
     monkeypatch.setattr(spectral, "CHARACTER_BLOCK", block)
-    w = _character_matrices(n)
-    assert sorted(w) == [-1, 1]
-    for sign in (-1, 1):
-        assert same_bits(w[sign], one_shot_character_matrix(n, sign))
+    monkeypatch.setattr(spectral, "_character_cache", {})
+    for _ in range(2):
+        w = _character_matrices(n)
+        assert sorted(w) == [-1, 1]
+        for sign in (-1, 1):
+            assert same_bits(w[sign], one_shot_character_matrix(n, sign))
+            assert same_bits(w[sign], _character_matrix(n, sign))
+
+
+def count_character_builds(monkeypatch) -> list:
+    """Record the (n, sign) of every character matrix built from now on."""
+    builds = []
+    build = spectral._character_matrix
+
+    def counted(n, sign):
+        builds.append((n, sign))
+        return build(n, sign)
+
+    monkeypatch.setattr(spectral, "_character_matrix", counted)
+    return builds
+
+
+def test_character_cache_keeps_the_recently_used_matrices_within_its_bytes(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(spectral, "_character_cache", cache)
+    # room for the matrices of n = 8, 6 and 4: 16 * (64 + 36 + 16) bytes
+    budget = 16 * (8 * 8 + 6 * 6 + 4 * 4)
+    monkeypatch.setattr(spectral, "CHARACTER_CACHE_BYTES", budget)
+    builds = count_character_builds(monkeypatch)
+    for n in (8, 6, 4):
+        _minus_character_matrix(n)
+    assert list(cache) == [8, 6, 4]
+    kept = cache[8]
+    assert _minus_character_matrix(8) is kept  # a hit moves 8 to the back
+    assert list(cache) == [6, 4, 8]
+    _minus_character_matrix(5)  # 400 bytes more: 6, the least recent, goes
+    assert list(cache) == [4, 8, 5]
+    assert sum(w.nbytes for w in cache.values()) <= budget
+    # 11 * 11 * 16 bytes is over the budget: built, returned and not kept
+    for _ in range(2):
+        big = _minus_character_matrix(11)
+        assert same_bits(big, one_shot_character_matrix(11, -1))
+        assert not big.flags.writeable
+    assert list(cache) == [4, 8, 5]
+    _minus_character_matrix(6)  # evicted, so built again
+    assert builds == [(8, -1), (6, -1), (4, -1), (5, -1), (11, -1), (11, -1), (6, -1)]
+    assert list(cache) == [5, 6] and sum(w.nbytes for w in cache.values()) <= budget
+
+
+def test_transforms_build_one_matrix_per_modulus(monkeypatch):
+    monkeypatch.setattr(spectral, "_character_cache", {})
+    builds = count_character_builds(monkeypatch)
+    rng = np.random.default_rng(12)
+    for convention in ALL_CONVENTIONS:
+        for n, d in ((7, 1), (7, 2), (5, 3)):
+            f = Signal(GroupParams(n, d), rng.normal(size=n**d), convention)
+            idft(dft(f))
+    assert builds == [(7, -1), (5, -1)]
+
+
+def test_problem_and_l1_solves_build_one_character_matrix_per_modulus(monkeypatch):
+    monkeypatch.setattr(spectral, "_character_cache", {})
+    builds = count_character_builds(monkeypatch)
+    p = GroupParams(16, 1)
+    missing = SupportSet.from_flat(p, np.array([3, 9]))
+    problem = RecoveryProblem.from_signal(Signal(p, np.eye(16)[5]), missing)
+    assert builds == [(16, -1)]  # the problem's transform
+    assert l1_recover(problem).status == "converged"
+    assert builds == [(16, -1)]  # the solve found it cached
+    for convention in (UNITARY_MINUS, ANALYST_PLUS):
+        f = Signal(p, np.eye(16)[2] - 2j * np.eye(16)[11], convention)
+        assert l1_recover(RecoveryProblem.from_signal(f, missing)).status == "converged"
+    assert builds == [(16, -1)]  # later items of that size build nothing
+
+
+def test_cached_character_matrix_is_read_only(monkeypatch):
+    monkeypatch.setattr(spectral, "_character_cache", {})
+    w = _character_matrices(4)
+    with pytest.raises(ValueError, match="read-only"):
+        w[-1][1, 1] = 0.0
+    assert w[-1] is _character_matrices(4)[-1]
+    # the derived plus-sign matrix is the caller's own
+    w[1][1, 1] = 0.0
+    assert same_bits(_character_matrices(4)[1], one_shot_character_matrix(4, 1))
+
+
+def test_import_leaves_the_character_cache_empty():
+    code = "import zncert, zncert.spectral as s; print(len(s._character_cache))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
+def test_character_cache_under_concurrent_transforms(monkeypatch):
+    # more threads than cores, a short switch interval and a budget of two
+    # of the four moduli, so that hits, builds and evictions interleave
+    monkeypatch.setattr(spectral, "_character_cache", {})
+    monkeypatch.setattr(spectral, "CHARACTER_CACHE_BYTES", 16 * (9 * 9 + 8 * 8))
+    sizes = (9, 8, 7, 6)
+    rng = np.random.default_rng(5)
+    signals = [Signal(GroupParams(n, 2), rng.normal(size=n * n), ANALYST_PLUS) for n in sizes]
+    expected = [dft(f).values for f in signals]
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(60):
+                j = (offset + i) % len(sizes)
+                if not same_bits(dft(signals[j]).values, expected[j]):
+                    failures.append((offset, i))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    kept = spectral._character_cache
+    assert sum(w.nbytes for w in kept.values()) <= spectral.CHARACTER_CACHE_BYTES
+    assert all(same_bits(w, one_shot_character_matrix(n, -1)) for n, w in kept.items())
 
 
 def oracle_axis_transform(values, params, w):
