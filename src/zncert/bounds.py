@@ -307,52 +307,3 @@ def recovery_condition(
     )
     return RecoveryCertificate(lhs, rhs, inputs, variant, certifies=lhs < rhs)
 
-
-#: Labels of ``certify_pair``'s certificates in comparison-table rows.
-_COMPARISON_LABELS = {
-    "classical": "classical",
-    "additive_point": "additive-point-side",
-    "additive_freq": "additive-frequency-side",
-    "refined_point": "refined-point-side",
-    "refined_freq": "refined-frequency-side",
-}
-
-
-def bound_comparison_table(
-    scenarios: list[tuple[SupportSet, SupportSet]],
-) -> list[dict]:
-    """One row per (E, Sigma) pair comparing all three bounds.
-
-    Rows preserve input order. The sharpest bound is the one with the
-    smallest right side (each is an upper bound on N^d, so the smallest
-    is the tightest).
-    """
-    rows = []
-    for e, sigma in scenarios:
-        certs = certify_pair(e, sigma)
-        refined_e, refined_s = certs["refined_point"], certs["refined_freq"]
-        finite = {
-            _COMPARISON_LABELS[name]: c.rhs
-            for name, c in certs.items()
-            if not math.isnan(c.rhs)
-        }
-        sharpest = min(finite, key=lambda k: (finite[k], k))
-        rows.append(
-            {
-                "N_power_d": e.params.size,
-                "E_size": len(e),
-                "sigma_size": len(sigma),
-                "E_energy": refined_e.inputs["E_energy"],
-                "sigma_energy": refined_e.inputs["sigma_energy"],
-                "classical_rhs": certs["classical"].rhs,
-                "additive_rhs_point": certs["additive_point"].rhs,
-                "refined_rhs_point": refined_e.rhs,
-                "correction_point": refined_e.correction,
-                "additive_rhs_freq": certs["additive_freq"].rhs,
-                "refined_rhs_freq": refined_s.rhs,
-                "correction_freq": refined_s.correction,
-                "sharpest": sharpest,
-                "all_satisfied": all(c.satisfied for c in certs.values()),
-            }
-        )
-    return rows

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -26,12 +27,14 @@ DENSE_LIMIT = 2**24
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Ambient group Z_N^d: modulus N >= 2 and dimension d >= 1."""
+    """Ambient group Z_N^d: integer modulus N >= 2 and dimension d >= 1."""
 
     modulus: int
     dimension: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", index(self.modulus))
+        object.__setattr__(self, "dimension", index(self.dimension))
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if self.dimension < 1:
@@ -84,7 +87,10 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class RingVector:
-    """A point (or frequency) of Z_N^d with canonical residue coordinates."""
+    """A point (or frequency) of Z_N^d with canonical residue coordinates.
+
+    Coordinates must be integers; any other value raises TypeError.
+    """
 
     coords: tuple[int, ...]
     modulus: int
@@ -95,7 +101,7 @@ class RingVector:
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         object.__setattr__(
-            self, "coords", tuple(int(c) % self.modulus for c in self.coords)
+            self, "coords", tuple(index(c) % self.modulus for c in self.coords)
         )
 
     @property
@@ -150,6 +156,8 @@ class SupportSet:
     def from_flat(cls, params: GroupParams, flat: Iterable[int]) -> SupportSet:
         """The points at row-major indices in any order, repeats allowed, each in [0, N^d)."""
         flat = np.asarray(flat)
+        if flat.ndim != 1:
+            raise ValueError(f"flat indices must form a 1-D array, got shape {flat.shape}")
         if flat.size and flat.dtype.kind not in "iu":
             raise ValueError(f"flat indices must be integers, got dtype {flat.dtype}")
         return cls(params, tuple(params.from_flat(i) for i in flat.tolist()))
@@ -197,25 +205,11 @@ def make_cyclic_subgroup(params: GroupParams, generator: RingVector) -> SupportS
     return SupportSet.from_coords(params, rows.tolist())
 
 
-def product_set(a: SupportSet, b: SupportSet) -> SupportSet:
-    """Cartesian product of two sets over the same modulus (dimensions add)."""
-    if a.params.modulus != b.params.modulus:
-        raise ValueError("product requires equal moduli")
-    params = GroupParams(a.params.modulus, a.params.dimension + b.params.dimension)
-    rows = np.hstack([np.repeat(a.coords(), len(b), axis=0), np.tile(b.coords(), (len(a), 1))])
-    return SupportSet.from_coords(params, rows.tolist())
-
-
 def shift_set(a: SupportSet, t: RingVector) -> SupportSet:
     """Translate: {x + t : x in A}. Cardinality is preserved."""
     if t.modulus != a.params.modulus or t.dimension != a.params.dimension:
         raise ValueError("points live in different groups")
     return SupportSet.from_coords(a.params, (a.coords() + t.coords).tolist())
-
-
-def negate_set(a: SupportSet) -> SupportSet:
-    """Pointwise negation {-x : x in A}."""
-    return SupportSet.from_coords(a.params, (-a.coords()).tolist())
 
 
 def is_subgroup(a: SupportSet) -> bool:
@@ -245,11 +239,6 @@ def all_cyclic_subgroups(params: GroupParams) -> list[SupportSet]:
     params.require_dense("subgroup enumeration")
     subgroups = {make_cyclic_subgroup(params, g) for g in params.points()}
     return sorted(subgroups, key=lambda s: (len(s), s.flat_indices().tolist()))
-
-
-def complement(a: SupportSet) -> SupportSet:
-    a.params.require_dense("complement")
-    return SupportSet.from_flat(a.params, np.setdiff1d(np.arange(a.params.size), a.flat_indices()))
 
 
 def set_to_json_dict(a: SupportSet) -> dict:

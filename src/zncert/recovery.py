@@ -21,8 +21,8 @@ and thresholds in place.
 A problem is a frozen record of its group, its convention and two
 row-major arrays, the observed values and the observed mask.
 ``RecoveryProblem.from_spectrum`` is the one way to build it; ``from_signal``
-and the problem-file loader go through it. The missing set is the
-complement of the mask, and the least-squares system is built from the
+and the problem-file loader go through it. The missing set is where the
+mask is False, and the least-squares system is built from the
 arrays in one pass, its entries gathered from a table of the N characters
 of the integer phases. The solver's tolerances and step rule are module
 constants; only its iteration budget is an argument.

@@ -13,18 +13,20 @@ applies it along each axis with one BLAS product. The minus-sign matrix of
 each modulus is built once per process and kept, read-only, in a
 least-recently-used cache of at most ``CHARACTER_CACHE_BYTES``; a larger
 matrix is built on every call and dropped. The plus-sign matrix is derived
-from the minus-sign one on each call, and so is not kept.
+from the minus-sign one on each call, and so is not kept. A modulus whose
+matrix would exceed ``DENSE_LIMIT`` entries (N > 4096) is refused.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .lattice import GroupParams, RingVector, SupportSet, params_from_json
+from .errors import CapacityError
+from .lattice import DENSE_LIMIT, GroupParams, RingVector, SupportSet, params_from_json
 
 TIME = "time"
 FREQUENCY = "frequency"
@@ -72,8 +74,8 @@ class Signal:
     """A complex-valued function on Z_N^d stored densely in row-major order.
 
     ``side`` records whether the values are point-side ("time") or
-    frequency-side ("frequency"); conversion between conventions depends
-    on it. Values are immutable after construction.
+    frequency-side ("frequency"); a recovery problem is built only from a
+    frequency-side spectrum. Values are immutable after construction.
     """
 
     params: GroupParams
@@ -147,8 +149,13 @@ def _minus_character_matrix(n: int) -> np.ndarray:
 
     A matrix that fits the byte budget is kept, evicting the least recently
     used ones until the kept bytes fit again; a larger one is returned
-    without being kept.
+    without being kept. A matrix of more than ``DENSE_LIMIT`` entries is
+    refused with CapacityError before anything is allocated.
     """
+    if n * n > DENSE_LIMIT:
+        raise CapacityError(
+            f"dense transform needs N^2 <= {DENSE_LIMIT}, got N^2 = {n * n}"
+        )
     with _character_cache_lock:
         w = _character_cache.pop(n, None)
         if w is not None:
@@ -258,36 +265,11 @@ def indicator(a: SupportSet, convention: Convention = UNITARY_MINUS) -> Signal:
     return Signal(a.params, vals, convention, side=TIME)
 
 
-def indicator_spectrum(a: SupportSet) -> Signal:
-    """Unitary transform of the 0/1 indicator (the set's exponential sums)."""
-    if len(a) == 0:
-        raise ValueError("indicator spectrum of the empty set is not defined")
-    return dft(indicator(a, UNITARY_MINUS))
-
-
 def negation_permutation(params: GroupParams) -> np.ndarray:
     """Index permutation sending the value at m to the slot of -m."""
     shape = (params.modulus,) * params.dimension
     coords = np.unravel_index(np.arange(params.size), shape)
     return np.ravel_multi_index(tuple(-c % params.modulus for c in coords), shape)
-
-
-def convert_convention(sig: Signal, convention: Convention) -> Signal:
-    """Re-express a signal under another convention.
-
-    Point-side values are convention-independent, so only the tag changes.
-    Frequency-side values rescale by the ratio of forward scales and are
-    re-indexed m -> -m when the exponent sign flips.
-    """
-    if convention == sig.convention:
-        return sig
-    if sig.side == TIME:
-        return replace(sig, convention=convention)
-    vals = np.array(sig.values)
-    if convention.forward_sign != sig.convention.forward_sign:
-        vals = vals[negation_permutation(sig.params)]
-    ratio = convention.forward_scale(sig.params) / sig.convention.forward_scale(sig.params)
-    return Signal(sig.params, vals * ratio, convention, side=FREQUENCY)
 
 
 def signal_to_json_dict(sig: Signal) -> dict:

@@ -7,11 +7,10 @@ is part of the library.
 - ``energy_quadruple``: the additive energy as the literal count of
   quadruples x1 + x2 = x3 + x4, cubic in |A|.
 - ``energy_fourier_check``: the floating cross-check N^d * sum |1hat_A|^4.
-- ``negate``, ``shift_set_points``, ``negate_set_points``,
-  ``product_set_points``, ``cyclic_subgroup_points`` and
-  ``complement_points``: the set algebra of ``zncert.lattice`` by point
-  arithmetic, one ``RingVector`` at a time, where the library computes on
-  coordinate arrays.
+- ``negate``, ``shift_set_points`` and ``cyclic_subgroup_points``: point
+  negation, translation and cyclic subgroups by point arithmetic, one
+  ``RingVector`` at a time, where the library computes on coordinate
+  arrays.
 - ``least_squares_system_per_entry``: the least-squares system with one
   ``exp`` per matrix entry, where the library gathers its entries from a
   table of the N characters.
@@ -54,7 +53,7 @@ def energy_quadruple(a: SupportSet) -> int:
 def energy_fourier_check(a: SupportSet) -> float:
     """Floating cross-check N^d * sum_m |1hat_A(m)|^4 (unitary transform)."""
     a.params.require_dense("Fourier energy check")
-    spec = spectral.indicator_spectrum(a)
+    spec = spectral.dft(spectral.indicator(a))
     return float(a.params.size * np.sum(np.abs(spec.values) ** 4))
 
 
@@ -67,15 +66,6 @@ def shift_set_points(a: SupportSet, t: RingVector) -> SupportSet:
     return SupportSet(a.params, tuple(x + t for x in a))
 
 
-def negate_set_points(a: SupportSet) -> SupportSet:
-    return SupportSet(a.params, tuple(negate(x) for x in a))
-
-
-def product_set_points(a: SupportSet, b: SupportSet) -> SupportSet:
-    params = GroupParams(a.params.modulus, a.params.dimension + b.params.dimension)
-    return SupportSet.from_coords(params, (x.coords + y.coords for x in a for y in b))
-
-
 def cyclic_subgroup_points(params: GroupParams, generator: RingVector) -> SupportSet:
     """Add the generator to itself until the sum returns to 0."""
     members = [params.zero()]
@@ -84,10 +74,6 @@ def cyclic_subgroup_points(params: GroupParams, generator: RingVector) -> Suppor
         members.append(current)
         current = current + generator
     return SupportSet(params, tuple(members))
-
-
-def complement_points(a: SupportSet) -> SupportSet:
-    return SupportSet(a.params, tuple(p for p in a.params.points() if p not in a))
 
 
 def least_squares_system_per_entry(

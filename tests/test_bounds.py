@@ -22,7 +22,6 @@ from zncert.energy import energy_growth_certificate, energy_representation
 from zncert.bounds import (
     _refined_certificate,
     additive_bound,
-    bound_comparison_table,
     certify_pair,
     classical_bound,
     correction_term,
@@ -273,34 +272,29 @@ def test_bound_comparison_table():
     coset_dual = SupportSet.from_coords(p, [(0,), (2,)])
     e = SupportSet.from_coords(p, [(0,), (3,)])
     full = SupportSet.from_coords(p, [(i,) for i in range(4)])
-    rows = bound_comparison_table([(coset, coset_dual), (e, full)])
 
-    extremal = rows[0]
-    assert extremal["classical_rhs"] == 4.0
-    assert extremal["additive_rhs_point"] == pytest.approx(4.0, abs=1e-12)
-    assert extremal["refined_rhs_point"] == pytest.approx(4.0, abs=1e-12)
-    assert extremal["refined_rhs_freq"] == pytest.approx(4.0, abs=1e-12)
-    assert extremal["all_satisfied"]
+    extremal = certify_pair(coset, coset_dual)
+    assert extremal["classical"].rhs == 4.0
+    assert extremal["additive_point"].rhs == pytest.approx(4.0, abs=1e-12)
+    assert extremal["refined_point"].rhs == pytest.approx(4.0, abs=1e-12)
+    assert extremal["refined_freq"].rhs == pytest.approx(4.0, abs=1e-12)
+    assert all(c.satisfied for c in extremal.values())
 
-    generic = rows[1]
-    assert generic["refined_rhs_point"] < generic["additive_rhs_point"]
-    assert generic["refined_rhs_freq"] < generic["additive_rhs_freq"]
-    assert generic["sharpest"] == "refined-frequency-side"
-    assert generic["all_satisfied"]
+    generic = certify_pair(e, full)
+    assert generic["refined_point"].rhs < generic["additive_point"].rhs
+    assert generic["refined_freq"].rhs < generic["additive_freq"].rhs
+    assert all(c.satisfied for c in generic.values())
 
 
 def test_bound_comparison_table_coset_sweep():
-    scenarios = []
     for n in (4, 6, 9):
         p = GroupParams(n, 1)
         for sub in all_cyclic_subgroups(p):
-            sigma = support_of(dft(indicator(shift_set(sub, p.vector([1])))))
-            scenarios.append((shift_set(sub, p.vector([1])), sigma))
-    for row in bound_comparison_table(scenarios):
-        nd = row["N_power_d"]
-        assert row["classical_rhs"] == pytest.approx(nd, abs=1e-9)
-        assert row["refined_rhs_point"] == pytest.approx(nd, abs=1e-9)
-        assert row["correction_point"] == pytest.approx(0.0, abs=1e-12)
+            coset = shift_set(sub, p.vector([1]))
+            certs = certify_pair(coset, support_of(dft(indicator(coset))))
+            assert certs["classical"].rhs == pytest.approx(n, abs=1e-9)
+            assert certs["refined_point"].rhs == pytest.approx(n, abs=1e-9)
+            assert certs["refined_point"].correction == pytest.approx(0.0, abs=1e-12)
 
 
 CERTIFICATE_NAMES = ["classical", "additive_point", "additive_freq", "refined_point", "refined_freq"]

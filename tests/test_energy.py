@@ -21,7 +21,6 @@ from zncert.lattice import (
     all_cyclic_subgroups,
     make_cyclic_subgroup,
     make_interval_grid,
-    negate_set,
     shift_set,
 )
 from zncert.energy import (
@@ -263,7 +262,7 @@ def test_energy_bounds_and_invariances():
         assert len(a) ** 2 <= lam <= len(a) ** 3
         t = p.from_flat(int(rng.integers(0, p.size)))
         assert energy_representation(shift_set(a, t)) == lam
-        assert energy_representation(negate_set(a)) == lam
+        assert energy_representation(SupportSet.from_coords(p, (-a.coords()).tolist())) == lam
 
 
 def test_cosets_attain_maximal_energy():

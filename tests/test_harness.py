@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from oracles import energy_quadruple
 
+from zncert import spectral
 from zncert.cli import main
 from zncert.energy import energy_representation
 from zncert.harness import (
@@ -344,22 +345,34 @@ def test_cli_energy_text_is_pinned(tmp_path):
     assert "No such option '--method'" in result.output
 
 
+NORM_REFUSAL = "norm of order 3 on this group sums 4294967296 terms (limit 67108864)"
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["gowers", "--k", "3"], ["conjecture-scan", "--N", "16", "--d", "2", "--k", "3", "--trials", "1"]],
-    ids=["gowers", "conjecture-scan"],
+    "args,n,d,message",
+    [
+        (["gowers", "--k", "3"], 16, 2, NORM_REFUSAL),
+        (["conjecture-scan", "--N", "16", "--d", "2", "--k", "3", "--trials", "1"], 16, 2, NORM_REFUSAL),
+        (["bounds"], 4097, 1, "dense transform needs N^2 <= 16777216, got N^2 = 16785409"),
+    ],
+    ids=["gowers", "conjecture-scan", "bounds-dense-transform"],
 )
-def test_cli_reports_a_capacity_guard_in_one_line(tmp_path, args):
+def test_cli_reports_a_capacity_guard_in_one_line(tmp_path, monkeypatch, args, n, d, message):
+    build = spectral._character_matrix
+
+    def bounded_build(n, sign):  # a refused transform must not reach the build
+        assert n <= 4096, f"a {n} x {n} character matrix was built"
+        return build(n, sign)
+
+    monkeypatch.setattr(spectral, "_character_matrix", bounded_build)
     signal_path = tmp_path / "signal.json"
-    p = GroupParams(16, 2)
+    p = GroupParams(n, d)
     save_signal(Signal(p, np.ones(p.size, dtype=complex), ANALYST_PLUS), signal_path)
-    files = {"gowers": ["--signal", str(signal_path)]}
+    files = {"gowers": ["--signal", str(signal_path)], "bounds": ["--signal", str(signal_path)]}
     result = CliRunner().invoke(main, [*args, *files.get(args[0], [])])
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
-    assert result.output.splitlines() == [
-        "Error: norm of order 3 on this group sums 4294967296 terms (limit 67108864)"
-    ]
+    assert result.output.splitlines() == [f"Error: {message}"]
 
 
 @pytest.mark.parametrize(

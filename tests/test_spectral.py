@@ -1,5 +1,6 @@
 """Transforms, conventions, supports, and the indicator-spectrum identities."""
 
+import re
 import subprocess
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zncert import spectral
+from zncert.errors import CapacityError
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, annihilator
 from zncert.recovery import RecoveryProblem, l1_recover
 from zncert.spectral import (
@@ -21,11 +23,9 @@ from zncert.spectral import (
     _character_matrices,
     _character_matrix,
     _minus_character_matrix,
-    convert_convention,
     dft,
     idft,
     indicator,
-    indicator_spectrum,
     negation_permutation,
     signal_from_json_dict,
     signal_to_json_dict,
@@ -135,28 +135,25 @@ def test_support_examples():
 def test_indicator_spectrum_examples():
     p = GroupParams(4, 1)
     full = SupportSet.from_coords(p, [(i,) for i in range(4)])
-    spec = indicator_spectrum(full)
+    spec = dft(indicator(full))
     expected = np.zeros(4, dtype=complex)
     expected[0] = 2.0  # N^{1/2}
     assert np.allclose(spec.values, expected, atol=1e-12)
 
     sub = SupportSet.from_coords(p, [(0,), (2,)])
-    spec = indicator_spectrum(sub)
+    spec = dft(indicator(sub))
     assert np.allclose(spec.values, [1, 0, 1, 0], atol=1e-12)
 
     pair = SupportSet.from_coords(p, [(0,), (1,)])
-    spec = indicator_spectrum(pair)
+    spec = dft(indicator(pair))
     assert abs(spec.l2_norm_sq() - 2.0) <= 1e-12  # Parseval: |A|
-
-    with pytest.raises(ValueError):
-        indicator_spectrum(SupportSet(p, ()))
 
 
 def test_subgroup_spectrum_supported_on_annihilator():
     for n in range(2, 17):
         p = GroupParams(n, 1)
         for sub in all_cyclic_subgroups(p):
-            spec_support = support_of(indicator_spectrum(sub), tau=None)
+            spec_support = support_of(dft(indicator(sub)), tau=None)
             ann = annihilator(sub)
             assert [v.coords for v in spec_support] == [v.coords for v in ann]
 
@@ -169,30 +166,9 @@ def test_exponential_sum_mass():
         size = int(rng.integers(1, p.size + 1))
         idx = rng.choice(p.size, size=size, replace=False)
         a = SupportSet(p, tuple(p.from_flat(int(i)) for i in idx))
-        spec = indicator_spectrum(a)
+        spec = dft(indicator(a))
         mass = p.size * spec.l2_norm_sq()  # undo the unitary N^{-d/2}
         assert abs(mass - size * p.size) <= 1e-9 * size * p.size
-
-
-@pytest.mark.parametrize("target", ALL_CONVENTIONS)
-def test_convention_coherence(target):
-    rng = np.random.default_rng(21)
-    p = GroupParams(6, 1)
-    f = random_signal(p, rng)
-    transformed_then_converted = convert_convention(dft(f), target)
-    converted_then_transformed = dft(convert_convention(f, target))
-    assert np.max(
-        np.abs(transformed_then_converted.values - converted_then_transformed.values)
-    ) <= 1e-12 * np.max(np.abs(transformed_then_converted.values))
-
-
-def test_convert_convention_round_trip():
-    rng = np.random.default_rng(5)
-    p = GroupParams(5, 2)
-    spec = dft(random_signal(p, rng))
-    for target in ALL_CONVENTIONS:
-        back = convert_convention(convert_convention(spec, target), spec.convention)
-        assert np.allclose(back.values, spec.values, atol=1e-12)
 
 
 def test_signal_values_are_immutable():
@@ -342,6 +318,33 @@ def test_cached_character_matrix_is_read_only(monkeypatch):
     # the derived plus-sign matrix is the caller's own
     w[1][1, 1] = 0.0
     assert same_bits(_character_matrices(4)[1], one_shot_character_matrix(4, 1))
+
+
+def test_dense_transforms_refuse_a_modulus_over_the_entry_budget(monkeypatch):
+    # N^2 > DENSE_LIMIT is refused before any matrix is built; N = 4096 is
+    # still let through to the build, which fails here in place of allocating
+    class Built(Exception):
+        pass
+
+    def build(n, sign):
+        raise Built(n)
+
+    monkeypatch.setattr(spectral, "_character_cache", {})
+    monkeypatch.setattr(spectral, "_character_matrix", build)
+    with pytest.raises(Built):
+        dft(Signal(GroupParams(4096, 1), np.zeros(4096)))
+    p = GroupParams(4097, 1)
+    refusal = re.escape("dense transform needs N^2 <= 16777216, got N^2 = 16785409")
+    for convention in (UNITARY_MINUS, ANALYST_PLUS):
+        with pytest.raises(CapacityError, match=refusal):
+            dft(Signal(p, np.zeros(p.size), convention))
+        with pytest.raises(CapacityError, match=refusal):
+            idft(Signal(p, np.zeros(p.size), convention, side="frequency"))
+    spectrum = Signal(p, np.zeros(p.size), side="frequency")
+    problem = RecoveryProblem.from_spectrum(spectrum, SupportSet.from_flat(p, [7]))
+    with pytest.raises(CapacityError, match=refusal):
+        l1_recover(problem)
+    assert spectral._character_cache == {}
 
 
 def test_import_leaves_the_character_cache_empty():
