@@ -49,18 +49,23 @@ class GowersReport:
         }
 
 
-def gowers_norm(f: Signal, k: int) -> GowersReport:
-    """Evaluate the order-k uniformity norm of a signal by the full sum."""
+def _require_order(params: GroupParams, k: int) -> None:
+    """Refuse an order outside [2, MAX_ORDER] or a full sum of over GOWERS_TERM_LIMIT terms."""
     if not 2 <= k <= MAX_ORDER:
         raise ValueError(f"order must lie in [2, {MAX_ORDER}], got {k}")
-    params = f.params
-    n, d = params.modulus, params.dimension
     terms = params.size ** (k + 1)
     if terms > GOWERS_TERM_LIMIT:
         raise CapacityError(
             f"norm of order {k} on this group sums {terms} terms"
             f" (limit {GOWERS_TERM_LIMIT})"
         )
+
+
+def gowers_norm(f: Signal, k: int) -> GowersReport:
+    """Evaluate the order-k uniformity norm of a signal by the full sum."""
+    params = f.params
+    _require_order(params, k)
+    n, d = params.modulus, params.dimension
 
     grid = f.values.reshape((n,) * d)
     conj_grid = np.conj(grid)
@@ -191,10 +196,10 @@ def conjecture_scan(
     Samplers: "exhaustive-small" enumerates every nonzero signal with
     values in {0, 1, -1} (one-dimensional groups with N <= 6 only);
     "random" draws complex Gaussian values on uniformly random supports.
-    Both directions of each sampled signal are scanned.
+    Both directions of each sampled signal are scanned. An order or group
+    that ``gowers_norm`` refuses is refused before any signal is drawn.
     """
-    if not 2 <= k <= MAX_ORDER:
-        raise ValueError(f"order must lie in [2, {MAX_ORDER}], got {k}")
+    _require_order(params, k)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     report = ConjectureScanReport(params, k, sampler, trials, seed)

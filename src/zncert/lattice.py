@@ -1,10 +1,10 @@
 """Points, subsets, and structured set generators for the group Z_N^d.
 
-Everything here is exact integer arithmetic: residues are canonical,
-membership queries are set lookups, and set contents are kept sorted in
-lexicographic coordinate order so that outputs are deterministic.
-Only this module knows how a set is stored: other modules turn sets into
-arrays and back only through ``SupportSet.from_flat``, ``coords()`` and ``flat_indices()``.
+Everything here is exact integer arithmetic on coordinate arrays, and set
+contents are kept sorted in lexicographic coordinate order so that outputs
+are deterministic. Only this module knows how a set is stored: other
+modules turn sets into arrays and back only through
+``SupportSet.from_flat``, ``coords()`` and ``flat_indices()``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .errors import CapacityError, StructureError
 
 # Dense enumerations of Z_N^d stop here; explicit small sets are unguarded.
 DENSE_LIMIT = 2**24
+# Points per block of the annihilator scan.
+SCAN_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,6 @@ class GroupParams:
             )
         return v
 
-    def zero(self) -> RingVector:
-        return RingVector((0,) * self.dimension, self.modulus)
-
-    def points(self) -> Iterator[RingVector]:
-        """All points of Z_N^d in row-major (lexicographic) order."""
-        self.require_dense("point enumeration")
-        for coords in product(range(self.modulus), repeat=self.dimension):
-            yield RingVector(coords, self.modulus)
-
     def flat_index(self, v: RingVector) -> int:
         """Row-major index of a point, matching dense signal storage."""
         idx = 0
@@ -87,15 +80,17 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class RingVector:
-    """A point (or frequency) of Z_N^d with canonical residue coordinates.
+    """A point of Z_N^d with canonical residues, a value for the edges and never an operand.
 
-    Coordinates must be integers; any other value raises TypeError.
+    The modulus and coordinates must be integers; any other value raises TypeError.
     """
 
     coords: tuple[int, ...]
     modulus: int
 
     def __post_init__(self) -> None:
+        if type(self.modulus) is not int:  # skips a call per member of SupportSet.from_flat
+            object.__setattr__(self, "modulus", index(self.modulus))
         if not self.coords:
             raise ValueError("a point needs at least one coordinate")
         if self.modulus < 2:
@@ -107,22 +102,6 @@ class RingVector:
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    def _check_compatible(self, other: RingVector) -> None:
-        if self.modulus != other.modulus or len(self.coords) != len(other.coords):
-            raise ValueError("points live in different groups")
-
-    def __add__(self, other: RingVector) -> RingVector:
-        self._check_compatible(other)
-        return RingVector(
-            tuple((a + b) % self.modulus for a, b in zip(self.coords, other.coords)),
-            self.modulus,
-        )
-
-    def dot(self, other: RingVector) -> int:
-        """Inner product sum_i x_i y_i reduced mod N."""
-        self._check_compatible(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords)) % self.modulus
 
 
 @dataclass(frozen=True)
@@ -213,32 +192,50 @@ def shift_set(a: SupportSet, t: RingVector) -> SupportSet:
 
 
 def is_subgroup(a: SupportSet) -> bool:
-    """True iff A contains 0 and is closed under addition."""
-    if len(a) == 0 or a.params.zero() not in a:
+    """True iff A contains 0 and A + x = A (closure under addition) for every x in A."""
+    rows = a.coords()
+    if len(rows) == 0 or rows[0].any():  # the first row is the least one
         return False
-    return all((x + y) in a for x in a for y in a)
+    for x in rows[1:]:
+        shifted = (rows + x) % a.params.modulus
+        if not np.array_equal(shifted[np.lexsort(shifted.T[::-1])], rows):
+            return False
+    return True
 
 
 def annihilator(h: SupportSet) -> SupportSet:
     """All frequencies m with m . x = 0 for every x in the subgroup H.
 
     Satisfies |H| * |annihilator(H)| = N^d. Raises StructureError when H
-    is not a subgroup.
+    is not a subgroup. Each block of the group is filtered by one member
+    of H after another until it is empty.
     """
     if not is_subgroup(h):
         raise StructureError("annihilator requires a subgroup (0 in H, closed under +)")
-    h.params.require_dense("annihilator scan")
-    members = tuple(
-        m for m in h.params.points() if all(m.dot(x) == 0 for x in h)
-    )
-    return SupportSet(h.params, members)
+    params = h.params
+    params.require_dense("annihilator scan")
+    members = h.coords()[1:]  # row 0 is the zero, which every m annihilates
+    kept = []
+    for start in range(0, params.size, SCAN_BLOCK):
+        flat = np.arange(start, min(start + SCAN_BLOCK, params.size))
+        rows = np.stack(np.unravel_index(flat, (params.modulus,) * params.dimension), axis=1)
+        for x in members:
+            if not flat.size:
+                break
+            keep = rows @ x % params.modulus == 0
+            flat, rows = flat[keep], rows[keep]
+        kept.append(flat)
+    return SupportSet.from_flat(params, np.concatenate(kept))
 
 
 def all_cyclic_subgroups(params: GroupParams) -> list[SupportSet]:
     """Every distinct subgroup generated by a single element, sorted by size."""
     params.require_dense("subgroup enumeration")
-    subgroups = {make_cyclic_subgroup(params, g) for g in params.points()}
-    return sorted(subgroups, key=lambda s: (len(s), s.flat_indices().tolist()))
+    subgroups: dict[bytes, SupportSet] = {}
+    for g in product(range(params.modulus), repeat=params.dimension):
+        sub = make_cyclic_subgroup(params, RingVector(g, params.modulus))
+        subgroups.setdefault(sub.flat_indices().tobytes(), sub)
+    return sorted(subgroups.values(), key=lambda s: (len(s), s.flat_indices().tolist()))
 
 
 def set_to_json_dict(a: SupportSet) -> dict:
@@ -256,8 +253,8 @@ def points_from_json(
 
     Unlike ``SupportSet.from_coords``, coordinates are not reduced mod N:
     entries that are not a list, an entry with the wrong number of
-    coordinates, or a coordinate that is not an integer in [0, N) raise
-    ValueError naming the entry by ``label`` and position.
+    coordinates, or a coordinate that is not an integer in [0, N) (a
+    boolean is not) raise ValueError naming the entry by ``label`` and position.
     """
     n, d = params.modulus, params.dimension
     if not isinstance(entries, (list, tuple)):
@@ -266,7 +263,7 @@ def points_from_json(
         if not (
             isinstance(entry, (list, tuple))
             and len(entry) == d
-            and all(isinstance(c, int) and 0 <= c < n for c in entry)
+            and all(type(c) is int and 0 <= c < n for c in entry)
         ):
             raise ValueError(
                 f"{label} {i} {entry!r} is not a point of Z_{n}^{d}:"
@@ -284,7 +281,7 @@ def params_from_json(data: dict) -> GroupParams:
     if not isinstance(data, dict):
         raise ValueError(f"the file must hold a JSON object, got {type(data).__name__}")
     n, d = data["N"], data["d"]
-    if not (isinstance(n, int) and isinstance(d, int)):
+    if not (type(n) is int and type(d) is int):  # a JSON boolean is no integer
         raise ValueError(f"N and d must be integers, got {n!r} and {d!r}")
     return GroupParams(n, d)
 

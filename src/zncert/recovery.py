@@ -382,12 +382,9 @@ def concentration_check(
     """
     if e.params != h.params or s.params != h.params:
         raise ValueError("sets live in a different group")
-    spectrum_support = support_of(dft(h))
-    leaked = [m for m in spectrum_support if m not in s]
-    if leaked:
-        raise ValueError(
-            f"spectrum is not supported inside S: {len(leaked)} stray frequencies"
-        )
+    stray = np.setdiff1d(support_of(dft(h)).flat_indices(), s.flat_indices())
+    if stray.size:
+        raise ValueError(f"spectrum is not supported inside S: {stray.size} stray frequencies")
     total = h.l1_norm()
     lhs = float(sum(abs(h.values[i]) for i in e.flat_indices()))
     rhs = (len(e) * len(s) / h.params.size) * total

@@ -302,7 +302,7 @@ def signal_from_json_dict(data: dict, side: str = TIME) -> Signal:
         if not (
             isinstance(entry, (list, tuple))
             and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ValueError(f"value {i} {entry!r} is not an [re, im] pair of numbers")
     values = np.array([complex(re, im) for re, im in entries])

@@ -7,10 +7,14 @@ is part of the library.
 - ``energy_quadruple``: the additive energy as the literal count of
   quadruples x1 + x2 = x3 + x4, cubic in |A|.
 - ``energy_fourier_check``: the floating cross-check N^d * sum |1hat_A|^4.
-- ``negate``, ``shift_set_points`` and ``cyclic_subgroup_points``: point
-  negation, translation and cyclic subgroups by point arithmetic, one
-  ``RingVector`` at a time, where the library computes on coordinate
-  arrays.
+- ``all_points``, ``zero``, ``add``, ``dot`` and ``negate``: enumeration
+  of the group and arithmetic on single points, by tuple arithmetic on
+  ``RingVector`` coordinates. The library never computes with points.
+- ``shift_set_points``, ``cyclic_subgroup_points``, ``is_subgroup_points``
+  and ``annihilator_points``: translation, cyclic subgroups, the subgroup
+  test (every pair sum looked up in the set) and the annihilator (every
+  point of the group dotted with every member), one point at a time, where
+  the library computes on coordinate arrays.
 - ``least_squares_system_per_entry``: the least-squares system with one
   ``exp`` per matrix entry, where the library gathers its entries from a
   table of the N characters.
@@ -18,10 +22,12 @@ is part of the library.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from zncert import spectral
-from zncert.errors import CapacityError
+from zncert.errors import CapacityError, StructureError
 from zncert.lattice import GroupParams, RingVector, SupportSet
 from zncert.recovery import RecoveryProblem
 
@@ -57,23 +63,62 @@ def energy_fourier_check(a: SupportSet) -> float:
     return float(a.params.size * np.sum(np.abs(spec.values) ** 4))
 
 
+def all_points(params: GroupParams) -> list[RingVector]:
+    """Every point of Z_N^d in row-major (lexicographic) order."""
+    params.require_dense("point enumeration")
+    return [RingVector(c, params.modulus) for c in product(range(params.modulus), repeat=params.dimension)]
+
+
+def zero(params: GroupParams) -> RingVector:
+    return RingVector((0,) * params.dimension, params.modulus)
+
+
+def add(x: RingVector, y: RingVector) -> RingVector:
+    """The point x + y, coordinate by coordinate."""
+    if x.modulus != y.modulus or x.dimension != y.dimension:
+        raise ValueError("points live in different groups")
+    return RingVector(tuple((a + b) % x.modulus for a, b in zip(x.coords, y.coords)), x.modulus)
+
+
+def dot(x: RingVector, y: RingVector) -> int:
+    """The inner product sum_i x_i y_i reduced mod N."""
+    if x.modulus != y.modulus or x.dimension != y.dimension:
+        raise ValueError("points live in different groups")
+    return sum(a * b for a, b in zip(x.coords, y.coords)) % x.modulus
+
+
 def negate(v: RingVector) -> RingVector:
     """The point -v, coordinate by coordinate."""
     return RingVector(tuple(-c % v.modulus for c in v.coords), v.modulus)
 
 
 def shift_set_points(a: SupportSet, t: RingVector) -> SupportSet:
-    return SupportSet(a.params, tuple(x + t for x in a))
+    return SupportSet(a.params, tuple(add(x, t) for x in a))
 
 
 def cyclic_subgroup_points(params: GroupParams, generator: RingVector) -> SupportSet:
     """Add the generator to itself until the sum returns to 0."""
-    members = [params.zero()]
+    members = [zero(params)]
     current = generator
     while current != members[0]:
         members.append(current)
-        current = current + generator
+        current = add(current, generator)
     return SupportSet(params, tuple(members))
+
+
+def is_subgroup_points(a: SupportSet) -> bool:
+    """Test 0 in A and x + y in A for every pair of members."""
+    if zero(a.params) not in a:
+        return False
+    return all(add(x, y) in a for x in a for y in a)
+
+
+def annihilator_points(h: SupportSet) -> SupportSet:
+    """Keep each point m of the group with m . x = 0 for every x in H."""
+    if not is_subgroup_points(h):
+        raise StructureError("annihilator requires a subgroup (0 in H, closed under +)")
+    members = all_points(h.params)
+    return SupportSet(h.params, tuple(m for m in members if all(dot(m, x) == 0 for x in h)))
 
 
 def least_squares_system_per_entry(

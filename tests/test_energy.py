@@ -32,7 +32,7 @@ from zncert.energy import (
     nontrivial_parallelogram_count,
     representation_function,
 )
-from oracles import energy_fourier_check, energy_quadruple
+from oracles import all_points, energy_fourier_check, energy_quadruple
 
 
 def random_set(params: GroupParams, rng, size: int | None = None) -> SupportSet:
@@ -112,7 +112,7 @@ def small_sets(draw):
     if kind == "empty":
         return SupportSet(p, ())
     if kind == "full":
-        return SupportSet(p, tuple(p.points()))
+        return SupportSet(p, tuple(all_points(p)))
     point = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(p.vector)
     if kind == "coset":
         return shift_set(make_cyclic_subgroup(p, draw(point)), draw(point))
@@ -280,7 +280,7 @@ def test_growth_certificate_trivial():
 
 
 def exhaustive_max_ratio(params: GroupParams, cap: int, alpha: float) -> float:
-    points = list(params.points())
+    points = all_points(params)
     best = 0.0
     for s in range(1, cap + 1):
         for subset in combinations(points, s):

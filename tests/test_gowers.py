@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from zncert import gowers, spectral
 from zncert.errors import CapacityError
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, shift_set
 from zncert.spectral import Signal, indicator
@@ -142,6 +143,16 @@ def test_scan_validation():
     for k in (1, 4, 7):  # checked before any signal is drawn
         with pytest.raises(ValueError, match=rf"order must lie in \[2, 3\], got {k}"):
             conjecture_scan(GroupParams(4, 1), k, trials=0)
+
+
+def test_scan_refuses_an_oversized_group_before_drawing_a_signal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a signal was drawn or a character matrix was asked for")
+
+    monkeypatch.setattr(spectral, "_minus_character_matrix", refuse)
+    monkeypatch.setattr(gowers, "random_signal", refuse)
+    with pytest.raises(CapacityError, match="norm of order 3 on this group sums 4294967296 terms"):
+        conjecture_scan(GroupParams(16, 2), 3, trials=1)
 
 
 def test_scan_rejects_negative_trials():

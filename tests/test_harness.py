@@ -227,8 +227,13 @@ def test_cli_rejects_set_file_outside_the_group(tmp_path):
         ({"N": 4, "d": 1, "members": {}}, "member entries must form a list, got {}"),
         ([1], "the file must hold a JSON object, got list"),
         ({"N": "4", "d": 1, "members": [[0]]}, "N and d must be integers, got '4' and 1"),
+        ({"N": 4, "d": True, "members": [[0], [2]]}, "N and d must be integers, got 4 and True"),
+        ({"N": 4, "d": 1, "members": [[2], [True]]}, "member 1 [True] is not a point of Z_4^1"),
     ],
-    ids=["members-scalar", "members-null", "members-object", "top-level-list", "string-modulus"],
+    ids=[
+        "members-scalar", "members-null", "members-object", "top-level-list", "string-modulus",
+        "boolean-dimension", "boolean-coordinate",
+    ],
 )
 def test_cli_rejects_malformed_set_files(tmp_path, data, message):
     set_path = tmp_path / "bad.json"
@@ -264,12 +269,16 @@ SIGNAL_4 = {"N": 4, "d": 1, "values": [[1, 0], [0, 0], [0, 0], [2, 0]]}
         (["gowers"], "--signal", {**SIGNAL_4, "N": None}, "N and d must be integers, got None and 1"),
         (["gowers"], "--signal", {**SIGNAL_4, "convention": 5}, "convention must be a JSON object, got 5"),
         (["recover"], "--problem", {**SIGNAL_4, "side": "time", "missing": [[1]]}, "spectrum must be a frequency-side signal, got a time-side one"),
+        (["bounds"], "--signal", {**SIGNAL_4, "values": [[True, False], [0, 0], [0, 0], [2, 0]]}, "value 0 [True, False] is not an [re, im] pair of numbers"),
+        (["gowers"], "--signal", {**SIGNAL_4, "N": True}, "N and d must be integers, got True and 1"),
+        (["recover"], "--problem", {**SIGNAL_4, "missing": [[False]]}, "missing frequency 0 [False] is not a point of Z_4^1"),
     ],
     ids=[
         "bounds-count", "bounds-key", "gowers-count", "gowers-key", "recover-missing", "recover-count", "recover-key",
         "bounds-scalar", "gowers-short-pair", "recover-string", "bounds-values-scalar", "recover-values-scalar",
         "recover-missing-scalar", "recover-missing-object", "bounds-top-level-list", "recover-top-level-list",
-        "gowers-null-modulus", "gowers-convention-scalar", "recover-time-side",
+        "gowers-null-modulus", "gowers-convention-scalar", "recover-time-side", "bounds-boolean-value",
+        "gowers-boolean-modulus", "recover-boolean-missing",
     ],
 )
 def test_cli_rejects_malformed_signal_and_problem_files(tmp_path, command, option, data, message):
@@ -358,13 +367,11 @@ NORM_REFUSAL = "norm of order 3 on this group sums 4294967296 terms (limit 67108
     ids=["gowers", "conjecture-scan", "bounds-dense-transform"],
 )
 def test_cli_reports_a_capacity_guard_in_one_line(tmp_path, monkeypatch, args, n, d, message):
-    build = spectral._character_matrix
+    def no_build(n, sign):  # a refused command must not reach any build
+        raise AssertionError(f"a {n} x {n} character matrix was built")
 
-    def bounded_build(n, sign):  # a refused transform must not reach the build
-        assert n <= 4096, f"a {n} x {n} character matrix was built"
-        return build(n, sign)
-
-    monkeypatch.setattr(spectral, "_character_matrix", bounded_build)
+    monkeypatch.setattr(spectral, "_character_matrix", no_build)
+    monkeypatch.setattr(spectral, "_character_cache", {})
     signal_path = tmp_path / "signal.json"
     p = GroupParams(n, d)
     save_signal(Signal(p, np.ones(p.size, dtype=complex), ANALYST_PLUS), signal_path)

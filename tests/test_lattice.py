@@ -1,13 +1,14 @@
 """Residue arithmetic, set generators, and the subgroup/annihilator duality."""
 
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zncert.errors import StructureError
+from zncert.errors import CapacityError, StructureError
 from zncert.lattice import (
     GroupParams,
     RingVector,
@@ -21,7 +22,17 @@ from zncert.lattice import (
     set_to_json_dict,
     shift_set,
 )
-from oracles import cyclic_subgroup_points, negate, shift_set_points
+from oracles import (
+    add,
+    all_points,
+    annihilator_points,
+    cyclic_subgroup_points,
+    dot,
+    is_subgroup_points,
+    negate,
+    shift_set_points,
+    zero,
+)
 
 
 def coords(a: SupportSet) -> list[tuple[int, ...]]:
@@ -52,6 +63,14 @@ def test_non_integer_coordinates_and_group_sizes_are_refused():
     assert v.coords == (1,) and type(v.coords[0]) is int
     q = GroupParams(np.int64(4), np.int32(2))
     assert q == GroupParams(4, 2) and type(q.size) is int
+
+
+def test_ring_vector_refuses_a_non_integer_modulus():
+    for bad in (4.0, "4"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            RingVector((1, 5), bad)
+    v = RingVector((1, 5), np.int64(4))
+    assert v == RingVector((1, 1), 4) and type(v.modulus) is int
 
 
 def test_vector_canonicalization():
@@ -85,11 +104,11 @@ def group_and_vectors(draw):
 @given(group_and_vectors())
 def test_group_laws(data):
     params, (x, y, z) = data
-    assert (x + y) + z == x + (y + z)
-    assert x + y == y + x
-    assert x + params.zero() == x
-    assert x + negate(x) == params.zero()
-    assert x.dot(y) == y.dot(x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert add(x, y) == add(y, x)
+    assert add(x, zero(params)) == x
+    assert add(x, negate(x)) == zero(params)
+    assert dot(x, y) == dot(y, x)
 
 
 def test_interval_grid_examples():
@@ -130,7 +149,7 @@ def test_cyclic_subgroups():
     current = g
     while current.coords not in expected:
         expected.add(current.coords)
-        current = current + g
+        current = add(current, g)
     sub = make_cyclic_subgroup(p, g)
     assert set(coords(sub)) == expected == {(0, 0), (2, 2)}
     assert is_subgroup(sub)
@@ -251,7 +270,7 @@ def test_set_algebra_matches_point_oracles(d):
             assert shift_set(a, t) == shift_set_points(a, t)
         g = params.vector(rng.integers(0, params.modulus, size=d).tolist())
         assert make_cyclic_subgroup(params, g) == cyclic_subgroup_points(params, g)
-        assert make_cyclic_subgroup(params, params.zero()) == SupportSet(params, (params.zero(),))
+        assert make_cyclic_subgroup(params, zero(params)) == SupportSet(params, (zero(params),))
 
 
 def test_cyclic_subgroup_of_a_large_modulus_lists_only_its_members():
@@ -311,3 +330,60 @@ def test_array_edges_round_trip(n, d):
 def test_from_flat_rejects_indices_outside_the_group(flat, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SupportSet.from_flat(GroupParams(5, 2), flat)
+
+
+SMALL_GROUPS = [(n, d) for d in range(1, 7) for n in range(2, 65) if n**d <= 64]
+
+
+def by_size_then_flat(s: SupportSet) -> tuple[int, list[int]]:
+    return len(s), s.flat_indices().tolist()
+
+
+def sum_set(a: SupportSet, b: SupportSet) -> SupportSet:
+    rows = (a.coords()[:, None, :] + b.coords()[None, :, :]).reshape(-1, a.params.dimension)
+    return SupportSet.from_coords(a.params, rows.tolist())
+
+
+@pytest.mark.parametrize("n,d", SMALL_GROUPS)
+def test_subgroup_routines_match_point_oracles(n, d):
+    p = GroupParams(n, d)
+    cyclic = all_cyclic_subgroups(p)
+    by_points = {cyclic_subgroup_points(p, g) for g in all_points(p)}
+    assert cyclic == sorted(by_points, key=by_size_then_flat)
+    subgroups = sorted({sum_set(a, b) for a in cyclic for b in cyclic}, key=by_size_then_flat)
+    rng = np.random.default_rng(n * 10 + d)
+    others = [random_subset(p, rng) for _ in range(10)]
+    for h in subgroups:
+        assert is_subgroup(h) and is_subgroup_points(h)
+        assert annihilator(h) == annihilator_points(h)
+        outside = np.setdiff1d(np.arange(p.size), h.flat_indices())
+        if outside.size:
+            x = p.from_flat(int(rng.choice(outside)))
+            others.append(shift_set(h, x))  # a coset without 0
+            others.append(SupportSet(p, (*h, x)))  # holds 0, not closed
+        if len(h) > 2:
+            others.append(SupportSet(p, tuple(h)[:-1]))  # holds 0, one sum missing
+    for a in others:
+        assert is_subgroup(a) == is_subgroup_points(a)
+        if is_subgroup(a):  # adding or dropping a point can still leave a subgroup
+            assert annihilator(a) == annihilator_points(a)
+            continue
+        for route in (annihilator, annihilator_points):
+            with pytest.raises(StructureError):
+                route(a)
+
+
+def test_subgroup_test_beyond_the_dense_guard_allocates_nothing_of_group_size():
+    p = GroupParams(2, 30)  # N^d = 2^30, past the dense guard
+    e1, e2 = [1] + [0] * 29, [0, 1] + [0] * 28
+    h = SupportSet.from_coords(p, [[0] * 30, e1, e2, [1, 1] + [0] * 28])
+    tracemalloc.start()
+    try:
+        assert is_subgroup(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a bool array over the group would take 2^30 bytes
+    assert not is_subgroup(SupportSet.from_coords(p, [[0] * 30, e1, e2]))
+    with pytest.raises(CapacityError, match=r"annihilator scan needs N\^d <= 16777216"):
+        annihilator(h)

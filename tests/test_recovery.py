@@ -23,7 +23,7 @@ from zncert.recovery import (
     save_problem,
     uniqueness_check,
 )
-from oracles import least_squares_system_per_entry, negate
+from oracles import all_points, dot, least_squares_system_per_entry, negate
 
 P4 = GroupParams(4, 1)
 
@@ -56,7 +56,7 @@ def random_problem(rng, n, d, e_size, s_size):
 def test_problem_coverage_invariant():
     f, problem = four_point_problem()
     spectrum = dft(f)
-    assert observed(problem) == {m: spectrum.value_at(m) for m in P4.points() if m not in problem.missing}
+    assert observed(problem) == {m: spectrum.value_at(m) for m in all_points(P4) if m not in problem.missing}
     assert problem.missing == SupportSet.from_coords(P4, [(1,), (2,)])
     assert problem.mask.tolist() == [True, False, False, True]
     # a missing set from another group is rejected
@@ -329,7 +329,7 @@ def test_problem_arrays_match_the_mapping():
         missing = SupportSet(p, tuple(p.from_flat(int(i)) for i in sidx))
         problem = RecoveryProblem.from_signal(f, missing)
         spectrum = dft(f)
-        expected = {m: spectrum.value_at(m) for m in p.points() if m not in missing}
+        expected = {m: spectrum.value_at(m) for m in all_points(p) if m not in missing}
         assert observed(problem) == expected
         assert problem.missing == missing
         assert problem.convention == conv
@@ -353,7 +353,7 @@ def literal_least_squares_system(problem, support):
     for i, m in enumerate(frequencies):
         for j, x in enumerate(support):
             matrix[i, j] = fscale * np.exp(
-                sign * 2j * np.pi * m.dot(x) / params.modulus
+                sign * 2j * np.pi * dot(m, x) / params.modulus
             )
     rhs = np.array([observations[m] for m in frequencies], dtype=np.complex128)
     return matrix, rhs
