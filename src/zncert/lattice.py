@@ -159,7 +159,12 @@ class SupportSet:
         return np.array(rows, dtype=np.int64).reshape(len(self), self.params.dimension)
 
     def flat_indices(self) -> np.ndarray:
-        """Row-major indices of the members as int64 (ascending, since members are)."""
+        """Row-major indices of the members as int64 (ascending, since members are).
+
+        Raises CapacityError when N^d - 1, the largest index, is past int64.
+        """
+        if self.params.size > 2**63:
+            raise CapacityError(f"flat indices need N^d <= 2^63, got N^d = {self.params.size}")
         return np.array([self.params.flat_index(v) for v in self.members], dtype=np.int64)
 
 

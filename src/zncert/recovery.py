@@ -10,13 +10,10 @@ of signals whose spectra match the observations. The projection is one
 transform round trip with the observed coordinates overwritten; it is
 performed in the unitary convention, to which the solver converts
 internally regardless of the problem's own convention. The transform is
-the dense character-matrix sum of ``spectral``. Each solve takes the
-minus-sign matrix from the transform's cache, so building a problem and
-solving it on one modulus build that matrix once between them, and later
-problems of that modulus build nothing; the solve derives the plus-sign
-matrix as its conjugate and drops it when it returns. The observed
-indices and values are gathered once per solve, and the iteration scales
-and thresholds in place.
+``spectral``'s: the memoised dense character-matrix sum up to N = 32 and
+an FFT above it, chosen once per solve. The observed indices and values
+are gathered once per solve, and the iteration scales and thresholds in
+place.
 
 A problem is a frozen record of its group, its convention and two
 row-major arrays, the observed values and the observed mask.
@@ -44,8 +41,7 @@ from .spectral import (
     TIME,
     Convention,
     Signal,
-    _apply_axis_transform,
-    _character_matrices,
+    _transform,
     dft,
     negation_permutation,
     signal_from_json_dict,
@@ -181,25 +177,21 @@ def l1_recover(
     params.require_dense("l1 recovery")
     target, observed_mask = _unitary_constraints(problem)
     scale = params.size**-0.5
-    # The minus-sign matrix comes from the transform's bounded cache; only
-    # the plus-sign one is built here, and it is released with the solve.
-    w = _character_matrices(params.modulus)
+    forward, inverse = _transform(params, -1), _transform(params, 1)
     observed = np.flatnonzero(observed_mask)
     observed_target = target[observed]
 
-    def transform(v: np.ndarray, sign: int) -> np.ndarray:
-        out = _apply_axis_transform(v, params, w[sign])
+    def project(g: np.ndarray) -> np.ndarray:
+        spec = forward(g)
+        spec *= scale
+        spec[observed] = observed_target
+        out = inverse(spec)
         out *= scale
         return out
 
-    def project(g: np.ndarray) -> np.ndarray:
-        spec = transform(g, -1)
-        spec[observed] = observed_target
-        return transform(spec, 1)
-
     def finish(z: np.ndarray, iterations: int, status: str, **extra) -> RecoverySolution:
-        # dft(z) under the problem's convention, from the matrices at hand
-        spectrum = _apply_axis_transform(z, params, w[problem.convention.forward_sign])
+        # dft(z) under the problem's convention
+        spectrum = _transform(params, problem.convention.forward_sign)(z)
         spectrum *= problem.convention.forward_scale(params)
         mask = problem.mask
         return RecoverySolution(

@@ -2,31 +2,25 @@
 
 Two normalization conventions are supported (unitary: N^{-d/2} in both
 directions; analyst: 1 forward and N^{-d} inverse) together with either
-exponent sign in the forward transform. The transform is the defining
-dense sum: the N x N character matrix applied along each axis, evaluated
-exactly (up to floating point) rather than by an FFT, whose different
-roundoff would move report fields printed to 12 significant digits.
-A matrix is built in bounded row blocks. It is symmetric bit for bit
-(each entry is a function of m*x), so only the entries on and above each
-block's diagonal are computed and the rest are mirrored. The transform
-applies it along each axis with one BLAS product. The minus-sign matrix of
-each modulus is built once per process and kept, read-only, in a
-least-recently-used cache of at most ``CHARACTER_CACHE_BYTES``; a larger
-matrix is built on every call and dropped. The plus-sign matrix is derived
-from the minus-sign one on each call, and so is not kept. A modulus whose
-matrix would exceed ``DENSE_LIMIT`` entries (N > 4096) is refused.
+exponent sign in the forward transform. Up to N = ``DENSE_MAX_MODULUS``
+the transform is the defining dense sum, the N x N character matrix applied
+along each axis with one BLAS product, so its bits are those of the
+one-shot matrix product the reports were pinned with; both signs' matrices
+of each such modulus are built once per process and kept, read-only.
+Above it the transform is numpy's FFT, which builds no matrix, so no
+modulus is refused.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
+
 import numpy as np
 
-from .errors import CapacityError
-from .lattice import DENSE_LIMIT, GroupParams, RingVector, SupportSet, params_from_json
+from .lattice import GroupParams, RingVector, SupportSet, params_from_json
 
 TIME = "time"
 FREQUENCY = "frequency"
@@ -108,89 +102,33 @@ class Signal:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
-#: Entries per row block of a character matrix under construction, which
-#: bounds the temporaries of the build to a few blocks of this size.
-CHARACTER_BLOCK = 1 << 14
+#: The largest modulus whose transforms are the dense character-matrix sum;
+#: above it they are an FFT. Two reasons put the line here. Bits: the pinned
+#: reports run at N <= 25 and the exact-bit solver tests at N <= 31, and an
+#: FFT moves roundoff that the reports print to 12 significant digits.
+#: Speed: with one BLAS thread the dense sum is also the faster route up to
+#: here (about 1.2 us against 7.5 us per transform on Z_32, 78 us against
+#: 108 us on Z_16^3), and the FFT wins from Z_64^2 and Z_256 on.
+DENSE_MAX_MODULUS = 32
+
+# Character matrices by (modulus, sign), for moduli up to DENSE_MAX_MODULUS:
+# at most 62 matrices of at most 1024 entries, under 0.4 MB together.
+_character_memo: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _character_matrix(n: int, sign: int) -> np.ndarray:
-    """The character matrix W[m, x] = exp(sign*2*pi*i*m*x/n).
+    """The character matrix W[m, x] = exp(sign*2*pi*i*m*x/n), read-only.
 
-    Rows are written in blocks into one preallocated array. Each block
-    computes its columns from its first row on, by the one-shot expression,
-    and mirrors the part right of the block into the transpose: an entry
-    depends only on the integer m*x, so W is symmetric and the bits match
-    a one-shot build.
+    Built once per (n, sign) by the one-shot expression and kept. Two
+    threads that miss together each build it, with the same bits, and one
+    of the two is kept.
     """
-    w = np.empty((n, n), dtype=np.complex128)
-    cols = np.arange(n)
-    step = max(1, CHARACTER_BLOCK // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        np.exp(
-            sign * 2j * np.pi * np.outer(cols[start:stop], cols[start:]) / n,
-            out=w[start:stop, start:],
-        )
-        w[stop:, start:stop] = w[start:stop, stop:].T
+    w = _character_memo.get((n, sign))
+    if w is None:
+        w = np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+        w.setflags(write=False)
+        _character_memo[(n, sign)] = w
     return w
-
-
-#: Total bytes of the minus-sign character matrices kept between calls:
-#: 16 MiB holds N = 1024, or N = 256 and 512 together with the small ones.
-CHARACTER_CACHE_BYTES = 1 << 24
-
-# Minus-sign matrices by modulus, least recently used first.
-_character_cache: dict[int, np.ndarray] = {}
-_character_cache_lock = threading.Lock()
-
-
-def _minus_character_matrix(n: int) -> np.ndarray:
-    """``_character_matrix(n, -1)``, read-only, from the cache when it is there.
-
-    A matrix that fits the byte budget is kept, evicting the least recently
-    used ones until the kept bytes fit again; a larger one is returned
-    without being kept. A matrix of more than ``DENSE_LIMIT`` entries is
-    refused with CapacityError before anything is allocated.
-    """
-    if n * n > DENSE_LIMIT:
-        raise CapacityError(
-            f"dense transform needs N^2 <= {DENSE_LIMIT}, got N^2 = {n * n}"
-        )
-    with _character_cache_lock:
-        w = _character_cache.pop(n, None)
-        if w is not None:
-            _character_cache[n] = w
-            return w
-    w = _character_matrix(n, -1)
-    w.setflags(write=False)
-    if w.nbytes <= CHARACTER_CACHE_BYTES:
-        with _character_cache_lock:
-            # another thread may have kept its own build of n meanwhile
-            _character_cache.pop(n, None)
-            _character_cache[n] = w
-            kept = sum(m.nbytes for m in _character_cache.values())
-            while kept > CHARACTER_CACHE_BYTES:
-                kept -= _character_cache.pop(next(iter(_character_cache))).nbytes
-    return w
-
-
-def _character_matrices(n: int) -> dict[int, np.ndarray]:
-    """Both signs' character matrices, keyed by sign, from one minus-sign matrix.
-
-    The plus-sign matrix is the conjugate of the minus-sign one except for
-    the sign of the imaginary zero at m*x = 0, which adding 0.0 makes
-    positive, so its bits match ``_character_matrix(n, 1)``. It is a new,
-    writable array; the minus-sign one is the cached, read-only matrix.
-    """
-    minus = _minus_character_matrix(n)
-    plus = np.conj(minus)
-    plus += 0.0
-    return {-1: minus, 1: plus}
-
-
-def _signed_character_matrix(n: int, sign: int) -> np.ndarray:
-    """The character matrix of one sign, deriving only the one asked for."""
-    return _minus_character_matrix(n) if sign == -1 else _character_matrices(n)[1]
 
 
 def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray) -> np.ndarray:
@@ -211,18 +149,34 @@ def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray
     return t.reshape(-1)
 
 
+def _transform(params: GroupParams, sign: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The unnormalised transform with exponent ``sign`` on the (N,)*d grid.
+
+    The returned function takes row-major values and returns a new array:
+    the dense character-matrix sum when N <= DENSE_MAX_MODULUS, an FFT
+    otherwise (``fftn`` for the minus sign; ``ifftn`` with
+    ``norm="forward"``, which leaves the plus-sign sum unscaled, for the
+    plus sign).
+    """
+    if params.modulus <= DENSE_MAX_MODULUS:
+        w = _character_matrix(params.modulus, sign)
+        return lambda values: _apply_axis_transform(values, params, w)
+    shape = (params.modulus,) * params.dimension
+    if sign == -1:
+        return lambda values: np.fft.fftn(values.reshape(shape)).reshape(-1)
+    return lambda values: np.fft.ifftn(values.reshape(shape), norm="forward").reshape(-1)
+
+
 def dft(f: Signal) -> Signal:
     """Forward transform under the signal's own convention."""
-    w = _signed_character_matrix(f.params.modulus, f.convention.forward_sign)
-    out = _apply_axis_transform(f.values, f.params, w)
+    out = _transform(f.params, f.convention.forward_sign)(f.values)
     out *= f.convention.forward_scale(f.params)
     return Signal(f.params, out, f.convention, side=FREQUENCY)
 
 
 def idft(spectrum: Signal) -> Signal:
     """Inverse transform; idft(dft(f)) reproduces f up to roundoff."""
-    w = _signed_character_matrix(spectrum.params.modulus, -spectrum.convention.forward_sign)
-    out = _apply_axis_transform(spectrum.values, spectrum.params, w)
+    out = _transform(spectrum.params, -spectrum.convention.forward_sign)(spectrum.values)
     out *= spectrum.convention.inverse_scale(spectrum.params)
     return Signal(spectrum.params, out, spectrum.convention, side=TIME)
 

@@ -18,6 +18,13 @@ is part of the library.
 - ``least_squares_system_per_entry``: the least-squares system with one
   ``exp`` per matrix entry, where the library gathers its entries from a
   table of the N characters.
+- ``character_matrix``, ``axis_transform_tensordot`` and
+  ``dense_transform``: the character matrix of any modulus, by the one-shot
+  expression or with its phases reduced mod N (the reference for the FFT),
+  and the unnormalised transform as that matrix, rebuilt on every call,
+  applied along each axis by ``tensordot``; the library memoises the
+  matrices up to N = 32, applies them by one BLAS product per axis, and
+  runs an FFT above N = 32.
 """
 
 from __future__ import annotations
@@ -138,3 +145,36 @@ def least_squares_system_per_entry(
     arg.imag /= params.modulus
     matrix = problem.convention.forward_scale(params) * np.exp(arg)
     return matrix, problem.target[problem.mask]
+
+
+def character_matrix(n: int, sign: int, reduce_phase: bool = False) -> np.ndarray:
+    """W[m, x] = exp(sign*2*pi*i*m*x/n) for any n.
+
+    By default by the one-shot expression, whose bits the library's dense
+    route reproduces. Its arguments reach 2*pi*(n-1)^2/n, so an entry is
+    off by up to about 2*pi*n units in the last place. With
+    ``reduce_phase`` the integer phase m*x is reduced mod n first, so every
+    argument lies in [0, 2*pi) and every entry is within a few ulps of the
+    true character: the reference to hold an FFT to.
+    """
+    phase = np.outer(np.arange(n), np.arange(n))
+    if reduce_phase:
+        phase %= n
+    return np.exp(sign * 2j * np.pi * phase / n)
+
+
+def axis_transform_tensordot(values: np.ndarray, params: GroupParams, w: np.ndarray) -> np.ndarray:
+    """Apply a character matrix along every axis by moveaxis and tensordot."""
+    n, d = params.modulus, params.dimension
+    t = values.reshape((n,) * d)
+    for axis in range(d):
+        t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
+    return t.reshape(-1)
+
+
+def dense_transform(
+    values: np.ndarray, params: GroupParams, sign: int, reduce_phase: bool = False
+) -> np.ndarray:
+    """The unnormalised transform with exponent ``sign``, as the dense sum."""
+    w = character_matrix(params.modulus, sign, reduce_phase)
+    return axis_transform_tensordot(values, params, w)

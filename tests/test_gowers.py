@@ -149,7 +149,7 @@ def test_scan_refuses_an_oversized_group_before_drawing_a_signal(monkeypatch):
     def refuse(*args):
         raise AssertionError("a signal was drawn or a character matrix was asked for")
 
-    monkeypatch.setattr(spectral, "_minus_character_matrix", refuse)
+    monkeypatch.setattr(spectral, "_character_matrix", refuse)
     monkeypatch.setattr(gowers, "random_signal", refuse)
     with pytest.raises(CapacityError, match="norm of order 3 on this group sums 4294967296 terms"):
         conjecture_scan(GroupParams(16, 2), 3, trials=1)

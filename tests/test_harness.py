@@ -354,6 +354,10 @@ def test_cli_energy_text_is_pinned(tmp_path):
     assert "No such option '--method'" in result.output
 
 
+def no_build(n, sign):  # a refused command, or an FFT-sized one, must not reach any build
+    raise AssertionError(f"a {n} x {n} character matrix was built")
+
+
 NORM_REFUSAL = "norm of order 3 on this group sums 4294967296 terms (limit 67108864)"
 
 
@@ -362,24 +366,33 @@ NORM_REFUSAL = "norm of order 3 on this group sums 4294967296 terms (limit 67108
     [
         (["gowers", "--k", "3"], 16, 2, NORM_REFUSAL),
         (["conjecture-scan", "--N", "16", "--d", "2", "--k", "3", "--trials", "1"], 16, 2, NORM_REFUSAL),
-        (["bounds"], 4097, 1, "dense transform needs N^2 <= 16777216, got N^2 = 16785409"),
     ],
-    ids=["gowers", "conjecture-scan", "bounds-dense-transform"],
+    ids=["gowers", "conjecture-scan"],
 )
 def test_cli_reports_a_capacity_guard_in_one_line(tmp_path, monkeypatch, args, n, d, message):
-    def no_build(n, sign):  # a refused command must not reach any build
-        raise AssertionError(f"a {n} x {n} character matrix was built")
-
     monkeypatch.setattr(spectral, "_character_matrix", no_build)
-    monkeypatch.setattr(spectral, "_character_cache", {})
     signal_path = tmp_path / "signal.json"
     p = GroupParams(n, d)
     save_signal(Signal(p, np.ones(p.size, dtype=complex), ANALYST_PLUS), signal_path)
-    files = {"gowers": ["--signal", str(signal_path)], "bounds": ["--signal", str(signal_path)]}
+    files = {"gowers": ["--signal", str(signal_path)]}
     result = CliRunner().invoke(main, [*args, *files.get(args[0], [])])
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
     assert result.output.splitlines() == [f"Error: {message}"]
+
+
+def test_cli_bounds_runs_past_the_old_dense_transform_guard(tmp_path, monkeypatch):
+    # N^2 > 2^24 used to be refused; the FFT route transforms it with no matrix
+    monkeypatch.setattr(spectral, "_character_matrix", no_build)
+    signal_path = tmp_path / "signal.json"
+    p = GroupParams(4097, 1)
+    save_signal(Signal(p, np.ones(p.size, dtype=complex), ANALYST_PLUS), signal_path)
+    result = CliRunner().invoke(main, ["bounds", "--signal", str(signal_path)])
+    assert result.exit_code == 0, result.output
+    certs = json.loads(result.output)["certificates"]
+    assert len(certs) == 5
+    assert certs[0]["kind"] == "classical" and certs[0]["inputs"] == {"E_size": 4097, "sigma_size": 1}
+    assert all(c["satisfied"] for c in certs)
 
 
 @pytest.mark.parametrize(

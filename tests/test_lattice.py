@@ -281,6 +281,18 @@ def test_cyclic_subgroup_of_a_large_modulus_lists_only_its_members():
     assert sub == cyclic_subgroup_points(p, g)
 
 
+def test_flat_indices_past_int64_are_refused():
+    p = GroupParams(2**40, 2)
+    sub = make_cyclic_subgroup(p, p.vector([2**38, 0]))
+    assert len(sub) == 4
+    with pytest.raises(CapacityError, match=re.escape(f"flat indices need N^d <= 2^63, got N^d = {2**80}")):
+        sub.flat_indices()
+    # at N^d = 2^63 the largest index, 2^63 - 1, still fits
+    edge = GroupParams(2**21, 3)
+    top = SupportSet.from_coords(edge, [(2**21 - 1,) * 3, (0, 0, 1)])
+    assert top.flat_indices().tolist() == [1, 2**63 - 1]
+
+
 def test_set_algebra_keeps_its_group_checks():
     p = GroupParams(4, 1)
     a = SupportSet.from_coords(p, [(1,)])

@@ -23,7 +23,7 @@ from zncert.recovery import (
     save_problem,
     uniqueness_check,
 )
-from oracles import all_points, dot, least_squares_system_per_entry, negate
+from oracles import all_points, dense_transform, dot, least_squares_system_per_entry, negate
 
 P4 = GroupParams(4, 1)
 
@@ -405,16 +405,6 @@ def test_least_squares_system_matches_the_per_entry_build(d, convention):
                 assert same_bits(rhs, oracle_rhs)
 
 
-def literal_axis_transform(values, params, sign):
-    """The transform as first written: the character matrix rebuilt per call."""
-    n, d = params.modulus, params.dimension
-    w = np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    t = values.reshape((n,) * d)
-    for axis in range(d):
-        t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
-    return t.reshape(-1)
-
-
 def oracle_soft_threshold(values, tau):
     """Complex soft-thresholding as first written."""
     mag = np.abs(values)
@@ -437,9 +427,9 @@ def oracle_l1(problem, feas_tol=1e-8, obj_tol=1e-8, max_iter=50000):
     scale = params.size**-0.5
 
     def project(g):
-        spec = literal_axis_transform(g, params, -1) * scale
+        spec = dense_transform(g, params, -1) * scale
         spec[mask] = target[mask]
-        return literal_axis_transform(spec, params, 1) * scale
+        return dense_transform(spec, params, 1) * scale
 
     zero_fill = project(np.zeros(params.size, dtype=np.complex128))
     problem_scale = float(np.max(np.abs(zero_fill)))
@@ -479,9 +469,26 @@ def test_l1_matches_per_call_matrix_oracle(n, d, e_size, s_size, convention):
     assert same_bits(solution.signal.values, values)
     assert solution.objective == objective
     spectrum = dft(Signal(problem.params, values, problem.convention))
-    assert solution.feasibility_residual == max(
-        abs(spectrum.value_at(m) - v) for m, v in observed(problem).items()
+    observations = observed(problem)
+    flat = [problem.params.flat_index(m) for m in observations]
+    # one np.abs over the observed entries, as the solver takes it: Python's
+    # abs of a single entry can round one ulp apart from numpy's
+    assert solution.feasibility_residual == float(
+        np.abs(spectrum.values[flat] - np.array(list(observations.values()))).max()
     )
+
+
+def test_l1_recovers_a_sparse_signal_on_z_65536():
+    # past the old dense-transform guard (N^2 <= 2^24): the FFT route solves it
+    p = GroupParams(65536, 1)
+    rng = np.random.default_rng(65536)
+    values = np.zeros(p.size, dtype=np.complex128)
+    values[rng.choice(p.size, size=16, replace=False)] = rng.normal(size=16) + 1j * rng.normal(size=16)
+    missing = SupportSet.from_flat(p, rng.choice(p.size, size=1000, replace=False))
+    solution = l1_recover(RecoveryProblem.from_signal(Signal(p, values), missing))
+    assert solution.status == CONVERGED
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert np.max(np.abs(solution.signal.values - values)) <= 1e-6 * scale
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 """Transforms, conventions, supports, and the indicator-spectrum identities."""
 
-import re
+import math
 import subprocess
 import sys
 import threading
@@ -10,19 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zncert import spectral
-from zncert.errors import CapacityError
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, annihilator
 from zncert.recovery import RecoveryProblem, l1_recover
 from zncert.spectral import (
     ANALYST_PLUS,
-    CHARACTER_BLOCK,
     UNITARY_MINUS,
     Convention,
     Signal,
     _apply_axis_transform,
-    _character_matrices,
     _character_matrix,
-    _minus_character_matrix,
     dft,
     idft,
     indicator,
@@ -31,7 +27,7 @@ from zncert.spectral import (
     signal_to_json_dict,
     support_of,
 )
-from oracles import negate
+from oracles import axis_transform_tensordot, character_matrix, dense_transform, negate
 
 ALL_CONVENTIONS = [
     Convention(norm, sign)
@@ -207,167 +203,171 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def one_shot_character_matrix(n, sign):
-    return np.exp(sign * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+DENSE_SHAPES = [(n, 1) for n in range(2, 33)] + [
+    (2, 2), (5, 2), (12, 2), (31, 2), (32, 2), (2, 3), (3, 3), (7, 3), (16, 3),
+]
 
 
-CHARACTER_SIZES = [1, 2, 3, 5, 7, 25, 64, 100, 257, 512, 1000, 2048]
-
-
-@pytest.mark.parametrize("n", CHARACTER_SIZES)
-@pytest.mark.parametrize("sign", [-1, 1])
-@pytest.mark.parametrize("block", [CHARACTER_BLOCK, 1000])
-def test_character_matrix_matches_one_shot_build(n, sign, block, monkeypatch):
-    # the half-built, mirrored block build must reproduce the one-shot
-    # expression bit for bit, also when the last block is short (n = 257,
-    # 1000 and 2048 at the default block; n = 64 and 257 at 1000 entries a
-    # block) and when a block is a single row (n = 1000 and 2048 at 1000)
-    monkeypatch.setattr(spectral, "CHARACTER_BLOCK", block)
-    assert same_bits(_character_matrix(n, sign), one_shot_character_matrix(n, sign))
-
-
-@pytest.mark.parametrize("n", CHARACTER_SIZES)
-@pytest.mark.parametrize("block", [CHARACTER_BLOCK, 1000])
-def test_character_matrices_match_one_shot_builds(n, block, monkeypatch):
-    # the plus-sign matrix derived from the minus-sign one by conjugation,
-    # from the call that builds the minus-sign matrix and from the one that
-    # finds it cached (n = 2048 is over the budget and built both times);
-    # the cache starts empty, so the build runs at this block size
-    monkeypatch.setattr(spectral, "CHARACTER_BLOCK", block)
-    monkeypatch.setattr(spectral, "_character_cache", {})
-    for _ in range(2):
-        w = _character_matrices(n)
-        assert sorted(w) == [-1, 1]
-        for sign in (-1, 1):
-            assert same_bits(w[sign], one_shot_character_matrix(n, sign))
-            assert same_bits(w[sign], _character_matrix(n, sign))
-
-
-def count_character_builds(monkeypatch) -> list:
-    """Record the (n, sign) of every character matrix built from now on."""
-    builds = []
-    build = spectral._character_matrix
-
-    def counted(n, sign):
-        builds.append((n, sign))
-        return build(n, sign)
-
-    monkeypatch.setattr(spectral, "_character_matrix", counted)
-    return builds
-
-
-def test_character_cache_keeps_the_recently_used_matrices_within_its_bytes(monkeypatch):
-    cache = {}
-    monkeypatch.setattr(spectral, "_character_cache", cache)
-    # room for the matrices of n = 8, 6 and 4: 16 * (64 + 36 + 16) bytes
-    budget = 16 * (8 * 8 + 6 * 6 + 4 * 4)
-    monkeypatch.setattr(spectral, "CHARACTER_CACHE_BYTES", budget)
-    builds = count_character_builds(monkeypatch)
-    for n in (8, 6, 4):
-        _minus_character_matrix(n)
-    assert list(cache) == [8, 6, 4]
-    kept = cache[8]
-    assert _minus_character_matrix(8) is kept  # a hit moves 8 to the back
-    assert list(cache) == [6, 4, 8]
-    _minus_character_matrix(5)  # 400 bytes more: 6, the least recent, goes
-    assert list(cache) == [4, 8, 5]
-    assert sum(w.nbytes for w in cache.values()) <= budget
-    # 11 * 11 * 16 bytes is over the budget: built, returned and not kept
-    for _ in range(2):
-        big = _minus_character_matrix(11)
-        assert same_bits(big, one_shot_character_matrix(11, -1))
-        assert not big.flags.writeable
-    assert list(cache) == [4, 8, 5]
-    _minus_character_matrix(6)  # evicted, so built again
-    assert builds == [(8, -1), (6, -1), (4, -1), (5, -1), (11, -1), (11, -1), (6, -1)]
-    assert list(cache) == [5, 6] and sum(w.nbytes for w in cache.values()) <= budget
-
-
-def test_transforms_build_one_matrix_per_modulus(monkeypatch):
-    monkeypatch.setattr(spectral, "_character_cache", {})
-    builds = count_character_builds(monkeypatch)
-    rng = np.random.default_rng(12)
+@pytest.mark.parametrize("n,d", DENSE_SHAPES)
+def test_dense_route_matches_one_shot_oracle_bit_for_bit(n, d):
+    # up to N = 32 the memoised matrices, dft and idft reproduce the one-shot
+    # character matrix applied by tensordot, the bits the reports pin
+    p = GroupParams(n, d)
+    for sign in (-1, 1):
+        assert same_bits(_character_matrix(n, sign), character_matrix(n, sign))
+    rng = np.random.default_rng([n, d])
+    values = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
     for convention in ALL_CONVENTIONS:
-        for n, d in ((7, 1), (7, 2), (5, 3)):
-            f = Signal(GroupParams(n, d), rng.normal(size=n**d), convention)
-            idft(dft(f))
-    assert builds == [(7, -1), (5, -1)]
+        sign = convention.forward_sign
+        forward = dense_transform(values, p, sign) * convention.forward_scale(p)
+        assert same_bits(dft(Signal(p, values, convention)).values, forward)
+        inverse = dense_transform(values, p, -sign) * convention.inverse_scale(p)
+        assert same_bits(idft(Signal(p, values, convention, side="frequency")).values, inverse)
 
 
-def test_problem_and_l1_solves_build_one_character_matrix_per_modulus(monkeypatch):
-    monkeypatch.setattr(spectral, "_character_cache", {})
-    builds = count_character_builds(monkeypatch)
+def refuse_matrix(n, sign):
+    raise AssertionError(f"a {n} x {n} character matrix was asked for")
+
+
+@pytest.mark.parametrize("n,d", [(33, 1), (64, 1), (257, 1), (512, 1), (1000, 1), (33, 2), (64, 2), (33, 3)])
+@pytest.mark.parametrize("convention", ALL_CONVENTIONS)
+def test_fft_route_matches_dense_oracle(n, d, convention, monkeypatch):
+    # An FFT's normwise error is of order log2(N^d) u times the norm of the
+    # exact output, ||f||_2 N^{d/2} scale (Higham 2002, section 24.1). The
+    # oracle reduces its phases mod N, so its own error is of that order
+    # too; measured differences stay under 0.75 of this unit.
+    monkeypatch.setattr(spectral, "_character_matrix", refuse_matrix)
+    p = GroupParams(n, d)
+    rng = np.random.default_rng([n, d, 2])
+    values = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+    unit = math.log2(p.size) * np.finfo(float).eps / 2 * np.linalg.norm(values) * math.sqrt(p.size)
+    forward = convention.forward_sign
+    for out, sign, scale in (
+        (dft(Signal(p, values, convention)), forward, convention.forward_scale(p)),
+        (idft(Signal(p, values, convention, side="frequency")), -forward, convention.inverse_scale(p)),
+    ):
+        expected = dense_transform(values, p, sign, reduce_phase=True) * scale
+        assert np.linalg.norm(out.values - expected) <= 4 * unit * scale
+
+
+def test_dense_route_ends_at_n_32(monkeypatch):
+    # N = 32 takes the memoised dense sum and calls no FFT; N = 33 takes the
+    # FFT, minus sign by fftn and plus sign by ifftn, and asks for no matrix
+    assert spectral.DENSE_MAX_MODULUS == 32
+    monkeypatch.setattr(spectral, "_character_memo", {})
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    rng = np.random.default_rng(32)
+    for convention in ALL_CONVENTIONS:
+        idft(dft(Signal(GroupParams(32, 1), rng.normal(size=32), convention)))
+    assert calls == [] and sorted(spectral._character_memo) == [(32, -1), (32, 1)]
+    kept = dict(spectral._character_memo)
+    for convention in ALL_CONVENTIONS:
+        idft(dft(Signal(GroupParams(33, 1), rng.normal(size=33), convention)))
+    assert calls == ["fftn", "ifftn", "ifftn", "fftn"] * 2
+    assert spectral._character_memo == kept
+
+
+def test_transforms_build_each_matrix_once_per_modulus_and_sign(monkeypatch):
+    monkeypatch.setattr(spectral, "_character_memo", {})
+    rng = np.random.default_rng(12)
+
+    def transform_all():
+        for convention in ALL_CONVENTIONS:
+            for n, d in ((7, 1), (7, 2), (5, 3), (40, 1)):
+                f = Signal(GroupParams(n, d), rng.normal(size=n**d), convention)
+                idft(dft(f))
+
+    transform_all()
+    kept = dict(spectral._character_memo)
+    assert sorted(kept) == [(5, -1), (5, 1), (7, -1), (7, 1)]
+    transform_all()
+    assert spectral._character_memo.keys() == kept.keys()
+    assert all(spectral._character_memo[key] is w for key, w in kept.items())
+
+
+def test_problem_and_l1_solves_build_each_character_matrix_once(monkeypatch):
+    monkeypatch.setattr(spectral, "_character_memo", {})
     p = GroupParams(16, 1)
     missing = SupportSet.from_flat(p, np.array([3, 9]))
     problem = RecoveryProblem.from_signal(Signal(p, np.eye(16)[5]), missing)
-    assert builds == [(16, -1)]  # the problem's transform
+    assert list(spectral._character_memo) == [(16, -1)]  # the problem's transform
     assert l1_recover(problem).status == "converged"
-    assert builds == [(16, -1)]  # the solve found it cached
+    kept = dict(spectral._character_memo)
+    assert sorted(kept) == [(16, -1), (16, 1)]  # the solve added the plus sign
     for convention in (UNITARY_MINUS, ANALYST_PLUS):
         f = Signal(p, np.eye(16)[2] - 2j * np.eye(16)[11], convention)
         assert l1_recover(RecoveryProblem.from_signal(f, missing)).status == "converged"
-    assert builds == [(16, -1)]  # later items of that size build nothing
+    assert all(spectral._character_memo[key] is w for key, w in kept.items())
+    assert len(spectral._character_memo) == 2  # later items of that size build nothing
 
 
 def test_cached_character_matrix_is_read_only(monkeypatch):
-    monkeypatch.setattr(spectral, "_character_cache", {})
-    w = _character_matrices(4)
-    with pytest.raises(ValueError, match="read-only"):
-        w[-1][1, 1] = 0.0
-    assert w[-1] is _character_matrices(4)[-1]
-    # the derived plus-sign matrix is the caller's own
-    w[1][1, 1] = 0.0
-    assert same_bits(_character_matrices(4)[1], one_shot_character_matrix(4, 1))
+    monkeypatch.setattr(spectral, "_character_memo", {})
+    for sign in (-1, 1):
+        w = _character_matrix(4, sign)
+        with pytest.raises(ValueError, match="read-only"):
+            w[1, 1] = 0.0
+        assert w is _character_matrix(4, sign)
+        assert same_bits(w, character_matrix(4, sign))
 
 
-def test_dense_transforms_refuse_a_modulus_over_the_entry_budget(monkeypatch):
-    # N^2 > DENSE_LIMIT is refused before any matrix is built; N = 4096 is
-    # still let through to the build, which fails here in place of allocating
-    class Built(Exception):
-        pass
+def test_character_memo_holds_every_dense_modulus_in_under_0_4_mb(monkeypatch):
+    monkeypatch.setattr(spectral, "_character_memo", {})
+    for n in range(2, spectral.DENSE_MAX_MODULUS + 1):
+        for sign in (-1, 1):
+            _character_matrix(n, sign)
+    memo = spectral._character_memo
+    assert len(memo) == 62
+    assert sum(w.nbytes for w in memo.values()) == 16 * 2 * sum(n * n for n in range(2, 33)) < 400_000
 
-    def build(n, sign):
-        raise Built(n)
 
-    monkeypatch.setattr(spectral, "_character_cache", {})
-    monkeypatch.setattr(spectral, "_character_matrix", build)
-    with pytest.raises(Built):
-        dft(Signal(GroupParams(4096, 1), np.zeros(4096)))
-    p = GroupParams(4097, 1)
-    refusal = re.escape("dense transform needs N^2 <= 16777216, got N^2 = 16785409")
-    for convention in (UNITARY_MINUS, ANALYST_PLUS):
-        with pytest.raises(CapacityError, match=refusal):
-            dft(Signal(p, np.zeros(p.size), convention))
-        with pytest.raises(CapacityError, match=refusal):
-            idft(Signal(p, np.zeros(p.size), convention, side="frequency"))
-    spectrum = Signal(p, np.zeros(p.size), side="frequency")
-    problem = RecoveryProblem.from_spectrum(spectrum, SupportSet.from_flat(p, [7]))
-    with pytest.raises(CapacityError, match=refusal):
-        l1_recover(problem)
-    assert spectral._character_cache == {}
+def test_transforms_past_the_old_dense_guard_build_no_matrix(monkeypatch):
+    # N^2 > 2^24 used to be refused; the FFT route needs no character matrix
+    monkeypatch.setattr(spectral, "_character_matrix", refuse_matrix)
+    rng = np.random.default_rng(4097)
+    for n in (4097, 8192):
+        p = GroupParams(n, 1)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for convention in (UNITARY_MINUS, ANALYST_PLUS):
+            spectrum = dft(Signal(p, values, convention))
+            assert spectrum.side == "frequency" and spectrum.values.shape == (n,)
+            back = idft(spectrum)
+            assert np.max(np.abs(back.values - values)) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_import_leaves_the_character_cache_empty():
-    code = "import zncert, zncert.spectral as s; print(len(s._character_cache))"
+    code = "import zncert, zncert.spectral as s; print(len(s._character_memo))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "0\n"
 
 
 def test_character_cache_under_concurrent_transforms(monkeypatch):
-    # more threads than cores, a short switch interval and a budget of two
-    # of the four moduli, so that hits, builds and evictions interleave
-    monkeypatch.setattr(spectral, "_character_cache", {})
-    monkeypatch.setattr(spectral, "CHARACTER_CACHE_BYTES", 16 * (9 * 9 + 8 * 8))
+    # more threads than cores and a short switch interval, so that threads
+    # miss on the same (N, sign) together and each build it
+    monkeypatch.setattr(spectral, "_character_memo", {})
     sizes = (9, 8, 7, 6)
     rng = np.random.default_rng(5)
-    signals = [Signal(GroupParams(n, 2), rng.normal(size=n * n), ANALYST_PLUS) for n in sizes]
-    expected = [dft(f).values for f in signals]
+    signals = [
+        Signal(GroupParams(n, 2), rng.normal(size=n * n), convention)
+        for n in sizes
+        for convention in (UNITARY_MINUS, ANALYST_PLUS)
+    ]
+    expected = [
+        dense_transform(f.values, f.params, f.convention.forward_sign) * f.convention.forward_scale(f.params)
+        for f in signals
+    ]
     failures = []
 
     def work(offset):
         try:
             for i in range(60):
-                j = (offset + i) % len(sizes)
+                j = (offset + i) % len(signals)
                 if not same_bits(dft(signals[j]).values, expected[j]):
                     failures.append((offset, i))
         except Exception as exc:  # reported by the assertion below
@@ -385,18 +385,9 @@ def test_character_cache_under_concurrent_transforms(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    kept = spectral._character_cache
-    assert sum(w.nbytes for w in kept.values()) <= spectral.CHARACTER_CACHE_BYTES
-    assert all(same_bits(w, one_shot_character_matrix(n, -1)) for n, w in kept.items())
-
-
-def oracle_axis_transform(values, params, w):
-    """The axis transform as first written, by moveaxis and tensordot."""
-    n, d = params.modulus, params.dimension
-    t = values.reshape((n,) * d)
-    for axis in range(d):
-        t = np.moveaxis(np.tensordot(w, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
-    return t.reshape(-1)
+    memo = spectral._character_memo
+    assert sorted(memo) == sorted((n, sign) for n in sizes for sign in (-1, 1))
+    assert all(same_bits(w, character_matrix(n, sign)) for (n, sign), w in memo.items())
 
 
 @pytest.mark.parametrize(
@@ -410,9 +401,9 @@ def test_axis_transform_matches_tensordot_oracle(n, d, sign):
     p = GroupParams(n, d)
     rng = np.random.default_rng([n, d, sign + 1])
     values = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
-    w = _character_matrix(n, sign)
+    w = character_matrix(n, sign)
     out = _apply_axis_transform(values, p, w)
-    assert same_bits(out, oracle_axis_transform(values, p, w))
+    assert same_bits(out, axis_transform_tensordot(values, p, w))
     assert out.flags.writeable and not np.shares_memory(out, values)
 
 
