@@ -225,6 +225,42 @@ def test_dense_route_matches_one_shot_oracle_bit_for_bit(n, d):
         assert same_bits(idft(Signal(p, values, convention, side="frequency")).values, inverse)
 
 
+CHARACTER_SIZES = [1, 2, 3, 5, 7, 25, 64, 100, 257, 512, 1000, 2048]
+
+
+@pytest.mark.parametrize("n", CHARACTER_SIZES)
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("seed", [16384, 1000])
+def test_character_matrix_matches_one_shot_build(n, sign, seed, monkeypatch):
+    # the memoised matrix is the one-shot expression's, bit for bit, at any
+    # n it is asked for, and the dense kernel applies it as tensordot does
+    monkeypatch.setattr(spectral, "_character_memo", {})
+    w = _character_matrix(n, sign)
+    assert same_bits(w, character_matrix(n, sign))
+    assert not w.flags.writeable and w is _character_matrix(n, sign)
+    if n >= 2:  # Z_1 is not a group
+        p = GroupParams(n, 1)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert same_bits(_apply_axis_transform(values, p, w), axis_transform_tensordot(values, p, w))
+
+
+@pytest.mark.parametrize("n", CHARACTER_SIZES)
+@pytest.mark.parametrize("seed", [16384, 1000])
+def test_character_matrices_match_one_shot_builds(n, seed, monkeypatch):
+    # both signs are memoised, each with the bits of its own one-shot build,
+    # whichever is asked for first (seed 16384 asks for the plus sign first,
+    # seed 1000 for the minus sign), from the call that builds it and from
+    # the one that finds it memoised
+    monkeypatch.setattr(spectral, "_character_memo", {})
+    order = [int(s) for s in np.random.default_rng(seed).permutation([-1, 1])]
+    built = {sign: _character_matrix(n, sign) for sign in order}
+    assert sorted(spectral._character_memo) == [(n, -1), (n, 1)]
+    for sign in order:
+        assert same_bits(built[sign], character_matrix(n, sign))
+        assert _character_matrix(n, sign) is built[sign]
+
+
 def refuse_matrix(n, sign):
     raise AssertionError(f"a {n} x {n} character matrix was asked for")
 
