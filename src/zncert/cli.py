@@ -152,7 +152,7 @@ def recover(
 @click.option("--k", type=click.IntRange(2, 3), default=2, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def gowers(signal_path: str, k: int, output: str | None) -> None:
-    """Uniformity norm of order k, by the full cube-average sum."""
+    """Uniformity norm of order k: k = 2 by one transform, k = 3 by the full cube sum."""
     report = gowers_norm(_load(load_signal, signal_path, "--signal"), k)
     _emit(canonical_json(report.to_json_dict()), output)
 

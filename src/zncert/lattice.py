@@ -177,16 +177,20 @@ def make_interval_grid(params: GroupParams, m: int) -> SupportSet:
     )
 
 
+def _cyclic_rows(n: int, g: tuple[int, ...]) -> np.ndarray:
+    """The multiples k * g, k = 0, ..., order - 1, as rows of canonical residues mod n."""
+    # With c = gcd(N, g) and g = c * u, g has order N / c and k * g = c * (k * u mod N / c).
+    c = math.gcd(n, *g)
+    order = n // c
+    return np.arange(order)[:, None] * (np.array(g) // c) % order * c
+
+
 def make_cyclic_subgroup(params: GroupParams, generator: RingVector) -> SupportSet:
     """The cyclic subgroup {k * g : k >= 0} generated by one element."""
     if generator.modulus != params.modulus:
         raise ValueError("generator does not live in the declared group")
     g = params.vector(generator.coords).coords
-    # With c = gcd(N, g) and g = c * u, g has order N / c and k * g = c * (k * u mod N / c).
-    c = math.gcd(params.modulus, *g)
-    order = params.modulus // c
-    rows = np.arange(order)[:, None] * (np.array(g) // c) % order * c
-    return SupportSet.from_coords(params, rows.tolist())
+    return SupportSet.from_coords(params, _cyclic_rows(params.modulus, g).tolist())
 
 
 def shift_set(a: SupportSet, t: RingVector) -> SupportSet:
@@ -236,11 +240,14 @@ def annihilator(h: SupportSet) -> SupportSet:
 def all_cyclic_subgroups(params: GroupParams) -> list[SupportSet]:
     """Every distinct subgroup generated by a single element, sorted by size."""
     params.require_dense("subgroup enumeration")
-    subgroups: dict[bytes, SupportSet] = {}
-    for g in product(range(params.modulus), repeat=params.dimension):
-        sub = make_cyclic_subgroup(params, RingVector(g, params.modulus))
-        subgroups.setdefault(sub.flat_indices().tobytes(), sub)
-    return sorted(subgroups.values(), key=lambda s: (len(s), s.flat_indices().tolist()))
+    n, d = params.modulus, params.dimension
+    place = n ** np.arange(d - 1, -1, -1)  # row-major weights
+    distinct: dict[bytes, np.ndarray] = {}
+    for g in product(range(n), repeat=d):
+        flat = np.sort(_cyclic_rows(n, g) @ place)
+        distinct.setdefault(flat.tobytes(), flat)
+    ordered = sorted(distinct.values(), key=lambda flat: (len(flat), flat.tolist()))
+    return [SupportSet.from_flat(params, flat) for flat in ordered]
 
 
 def set_to_json_dict(a: SupportSet) -> dict:

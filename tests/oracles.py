@@ -25,6 +25,11 @@ is part of the library.
   applied along each axis by ``tensordot``; the library memoises the
   matrices up to N = 32, applies them by one BLAS product per axis, and
   runs an FFT above N = 32.
+- ``u2_autocorrelation_sum``: the raw order-2 uniformity sum with its cube
+  regrouped as sum_h |sum_x f(x) conj f(x+h)|^2, N^{2d} products and no
+  transform, for groups where the literal cube sum in
+  ``gowers._cube_sum`` (N^{3d} terms) would take minutes; the library
+  takes that sum through the Fourier identity.
 """
 
 from __future__ import annotations
@@ -68,6 +73,18 @@ def energy_fourier_check(a: SupportSet) -> float:
     a.params.require_dense("Fourier energy check")
     spec = spectral.dft(spectral.indicator(a))
     return float(a.params.size * np.sum(np.abs(spec.values) ** 4))
+
+
+def u2_autocorrelation_sum(values: np.ndarray, params: GroupParams) -> float:
+    """sum_h |sum_x f(x) conj f(x+h)|^2: each h sums the cube's terms with h_1 = h."""
+    n, d = params.modulus, params.dimension
+    grid = values.reshape((n,) * d)
+    axes = tuple(range(d))
+    total = 0.0
+    for h in product(range(n), repeat=d):
+        shifted = np.roll(grid, shift=tuple(-c for c in h), axis=axes)
+        total += abs(np.sum(grid * np.conj(shifted))) ** 2
+    return total
 
 
 def all_points(params: GroupParams) -> list[RingVector]:

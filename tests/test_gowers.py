@@ -6,9 +6,10 @@ import pytest
 from zncert import gowers, spectral
 from zncert.errors import CapacityError
 from zncert.lattice import GroupParams, SupportSet, all_cyclic_subgroups, shift_set
-from zncert.spectral import Signal, indicator
+from zncert.spectral import Signal, dft, indicator, support_of
 from zncert.energy import energy_representation
-from zncert.gowers import conjecture_scan, gowers_norm
+from zncert.gowers import ScanWitness, _cube_sum, conjecture_scan, gowers_norm
+from oracles import u2_autocorrelation_sum
 
 
 def random_set(params, rng, size=None):
@@ -80,8 +81,13 @@ def test_order_and_capacity_guards():
     with pytest.raises(ValueError):
         gowers_norm(f, 4)
     big = GroupParams(91, 1)
-    with pytest.raises(CapacityError):
+    refusal = r"^norm of order 3 on this group sums 68574961 terms \(limit 67108864\)$"
+    with pytest.raises(CapacityError, match=refusal):
         gowers_norm(Signal(big, np.ones(91, dtype=complex)), 3)
+    with pytest.raises(CapacityError, match=refusal):
+        conjecture_scan(big, 3, trials=1)
+    # order 2 is one transform of a signal that already exists: no term guard
+    gowers._require_order(GroupParams(2**20, 4), 2)
 
 
 def test_coset_pairs_scan_at_exactly_one():
@@ -160,3 +166,111 @@ def test_scan_rejects_negative_trials():
         with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
             conjecture_scan(GroupParams(5, 1), 2, sampler=sampler, trials=-3)
     assert conjecture_scan(GroupParams(5, 1), 2, trials=0).trials == 0
+
+
+# Both sides of the N = 32 line between the dense transform and the FFT.
+IDENTITY_CASES = [(2, 1), (5, 1), (31, 1), (32, 1), (33, 1), (64, 1), (5, 2), (8, 2), (33, 2), (3, 3)]
+# The literal cube sum runs about 50 us per shift pair: 0.2 s at 2^18 terms,
+# over a minute on Z_33^2, where the autocorrelation oracle stands in for it.
+CUBE_SUM_TERMS = 2**18
+
+
+@pytest.mark.parametrize("kind", ["complex", "indicator"])
+@pytest.mark.parametrize("n,d", IDENTITY_CASES, ids=[f"z{n}^{d}" for n, d in IDENTITY_CASES])
+def test_order_two_fourier_identity_matches_the_cube_sum(n, d, kind):
+    p = GroupParams(n, d)
+    rng = np.random.default_rng([61, n, d])
+    if kind == "complex":
+        f = Signal(p, rng.normal(size=p.size) + 1j * rng.normal(size=p.size))
+    else:
+        f = indicator(SupportSet.from_flat(p, rng.choice(p.size, size=max(1, p.size // 3), replace=False)))
+    raw = gowers_norm(f, 2).raw_sum
+    reference = u2_autocorrelation_sum(f.values, p)
+    if p.size**3 <= CUBE_SUM_TERMS:
+        cube = _cube_sum(f, 2)
+        assert abs(reference - cube) <= 1e-12 * cube
+        reference = cube
+    assert abs(raw - reference) <= 1e-12 * reference
+
+
+def test_order_two_raw_sum_rounds_to_the_energy_past_the_cube_sum_guard():
+    p = GroupParams(64, 2)  # 2^36 cube-sum terms
+    rng = np.random.default_rng(67)
+    a = SupportSet.from_flat(p, rng.choice(p.size, size=1024, replace=False))
+    assert round(gowers_norm(indicator(a), 2).raw_sum) == energy_representation(a)
+
+
+def test_order_two_norm_runs_on_z1024_squared():
+    # a character has one nonzero coefficient, of modulus N^d: raw sum N^{3d}, norm 1
+    p = GroupParams(1024, 2)
+    x1, x2 = np.unravel_index(np.arange(p.size), (1024, 1024))
+    report = gowers_norm(Signal(p, np.exp(2j * np.pi * (3 * x1 + 5 * x2) / 1024)), 2)
+    assert report.raw_sum == pytest.approx(float(p.size) ** 3, rel=1e-12)
+    assert report.norm_value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_order_two_scan_runs_on_z64_squared():
+    report = conjecture_scan(GroupParams(64, 2), 2, trials=2)
+    assert report.trials == 2
+    assert report.min_witness is not None and report.min_product > 0
+    assert bool(report.violations) == (report.min_product < 1.0 - 1e-9)
+
+
+def eager_scan_one(report, f):
+    """The scan step with a witness built for every product, kept or not."""
+    e = support_of(f)
+    sigma = support_of(dft(f))
+    if len(e) == 0 or len(sigma) == 0:
+        return
+    pairs = (
+        (len(e), sigma, "support-times-spectrum-norm"),
+        (len(sigma), e, "spectrum-times-support-norm"),
+    )
+    for size, other, direction in pairs:
+        value = size * gowers_norm(indicator(other), report.k).exponent_form
+        witness = ScanWitness(value, len(e), len(sigma), e.coords().tolist(), sigma.coords().tolist(), direction)
+        if value < report.min_product:
+            report.min_product = value
+            report.min_witness = witness
+        if value < 1.0 - gowers.VIOLATION_TOL:
+            report.violations.append(witness)
+
+
+def assert_equal_up_to_roundoff(a, b):
+    if isinstance(a, float):
+        assert a == pytest.approx(b, rel=1e-12)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_equal_up_to_roundoff(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_equal_up_to_roundoff(x, y)
+    else:
+        assert a == b
+
+
+SCANS = [
+    (GroupParams(5, 1), 2, "random", 500, 905),
+    (GroupParams(6, 1), 3, "random", 20, 905),
+    (GroupParams(4, 1), 2, "exhaustive-small", 500, 0),
+]
+
+
+@pytest.mark.parametrize("params,k,sampler,trials,seed", SCANS, ids=["z5-k2", "z6-k3", "z4-exhaustive"])
+def test_scan_reports_match_the_cube_sum_scan_with_every_witness_built(
+    monkeypatch, params, k, sampler, trials, seed
+):
+    def scan():
+        return conjecture_scan(params, k, sampler=sampler, trials=trials, seed=seed).to_json_dict()
+
+    report = scan()
+    # order 2 through the cube sum too, so both scans below compute the same products
+    monkeypatch.setattr(gowers, "_fourier_sum", lambda f: _cube_sum(f, 2))
+    lazy = scan()
+    monkeypatch.setattr(gowers, "_scan_one", eager_scan_one)
+    eager = scan()
+    assert lazy == eager
+    assert eager["min_witness"] is not None
+    assert_equal_up_to_roundoff(report, eager)

@@ -1,9 +1,11 @@
 """Transforms, conventions, supports, and the indicator-spectrum identities."""
 
 import math
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,8 +380,11 @@ def test_transforms_past_the_old_dense_guard_build_no_matrix(monkeypatch):
 
 
 def test_import_leaves_the_character_cache_empty():
+    # the child imports this checkout's package whether or not zncert is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = "import zncert, zncert.spectral as s; print(len(s._character_memo))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "0\n"
 
 
