@@ -7,7 +7,9 @@ ones. For k = 2 that sum equals sum_xi |F(xi)|^4 / N^d, where F is the
 unnormalised transform, so the order-2 norm costs one transform and has
 no guard of its own. For k = 3 the sum is evaluated literally (vectorized
 over x, looping over the shift tuples), N^{4d} terms, which a capacity
-guard keeps at desk scale.
+guard keeps at desk scale. The scanner builds its own signals and both
+supports of each as point sets, so it also stops at SCAN_POINT_LIMIT
+points.
 
 For k = 2 the norm encodes additive energy:
 N^{3d} * ||1_A||^4 equals energy(A) exactly.
@@ -26,6 +28,7 @@ from .spectral import Signal, _transform, dft, indicator, random_signal, support
 
 GOWERS_TERM_LIMIT = 2**26
 MAX_ORDER = 3
+SCAN_POINT_LIMIT = 2**16  # each trial builds supports of up to N^d points, one object each
 
 
 @dataclass(frozen=True)
@@ -215,9 +218,14 @@ def conjecture_scan(
     values in {0, 1, -1} (one-dimensional groups with N <= 6 only);
     "random" draws complex Gaussian values on uniformly random supports.
     Both directions of each sampled signal are scanned. An order or group
-    that ``gowers_norm`` refuses is refused before any signal is drawn.
+    that ``gowers_norm`` refuses, or a group of more than SCAN_POINT_LIMIT
+    points, is refused before any signal is drawn.
     """
     _require_order(params, k)
+    if params.size > SCAN_POINT_LIMIT:
+        raise CapacityError(
+            f"conjecture scan needs N^d <= {SCAN_POINT_LIMIT}, got N^d = {params.size}"
+        )
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     report = ConjectureScanReport(params, k, sampler, trials, seed)

@@ -88,6 +88,12 @@ def test_order_and_capacity_guards():
         conjecture_scan(big, 3, trials=1)
     # order 2 is one transform of a signal that already exists: no term guard
     gowers._require_order(GroupParams(2**20, 4), 2)
+    # but a scan makes its own signals and point sets, so it has a point guard
+    conjecture_scan(GroupParams(256, 2), 2, trials=0)
+    for huge in (GroupParams(257, 2), GroupParams(2**20, 4)):
+        refusal = rf"^conjecture scan needs N\^d <= 65536, got N\^d = {huge.size}$"
+        with pytest.raises(CapacityError, match=refusal):
+            conjecture_scan(huge, 2, trials=1)
 
 
 def test_coset_pairs_scan_at_exactly_one():

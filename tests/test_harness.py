@@ -366,8 +366,14 @@ NORM_REFUSAL = "norm of order 3 on this group sums 4294967296 terms (limit 67108
     [
         (["gowers", "--k", "3"], 16, 2, NORM_REFUSAL),
         (["conjecture-scan", "--N", "16", "--d", "2", "--k", "3", "--trials", "1"], 16, 2, NORM_REFUSAL),
+        (
+            ["conjecture-scan", "--N", "65536", "--d", "2", "--k", "2"],
+            2,
+            1,
+            "conjecture scan needs N^d <= 65536, got N^d = 4294967296",
+        ),
     ],
-    ids=["gowers", "conjecture-scan"],
+    ids=["gowers", "conjecture-scan", "conjecture-scan-order-2"],
 )
 def test_cli_reports_a_capacity_guard_in_one_line(tmp_path, monkeypatch, args, n, d, message):
     monkeypatch.setattr(spectral, "_character_matrix", no_build)
