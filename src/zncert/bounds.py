@@ -19,7 +19,7 @@ guaranteed to satisfy the inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .lattice import GroupParams, SupportSet
 from .energy import energy_representation
@@ -52,21 +52,8 @@ class UncertaintyCertificate:
     half_size_recoverable: bool | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "correction": self.correction,
-            "inputs": dict(self.inputs),
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-            "status": self.status,
-        }
-        if self.improves_additive is not None:
-            out["improves_additive"] = self.improves_additive
-        if self.half_size_recoverable is not None:
-            out["half_size_recoverable"] = self.half_size_recoverable
-        return out
+        """Every field in order, leaving out the optional flags that are None."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -78,15 +65,6 @@ class RecoveryCertificate:
     inputs: dict
     variant: str
     certifies: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "inputs": dict(self.inputs),
-            "variant": self.variant,
-            "certifies": self.certifies,
-        }
 
 
 def _tol(params: GroupParams) -> float:
@@ -200,7 +178,6 @@ def _refined_certificate(
             satisfied=False,
             slack=float("nan"),
             status="vacuous",
-            improves_additive=None,
         )
     rhs = e_size * argument ** (1.0 / 3.0)
     return UncertaintyCertificate(

@@ -222,15 +222,6 @@ class GrowthCertificate:
     size_cap: int
     subsets_checked: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "alpha": self.alpha,
-            "mode": self.mode,
-            "size_cap": self.size_cap,
-            "subsets_checked": self.subsets_checked,
-        }
-
 
 def energy_growth_certificate(
     params: GroupParams, size_cap: int, mode: str = "trivial", alpha: float = 3.0

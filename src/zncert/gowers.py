@@ -17,7 +17,7 @@ N^{3d} * ||1_A||^4 equals energy(A) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -46,12 +46,7 @@ class GowersReport:
     exponent_form: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "norm_value": self.norm_value,
-            "raw_sum": self.raw_sum,
-            "exponent_form": self.exponent_form,
-        }
+        return asdict(self)
 
 
 def _require_order(params: GroupParams, k: int) -> None:
@@ -127,16 +122,6 @@ class ScanWitness:
     spectrum_support: list[list[int]]
     direction: str  # which side's support size multiplied which indicator norm
 
-    def to_json_dict(self) -> dict:
-        return {
-            "product": self.product,
-            "support_size": self.support_size,
-            "spectrum_support_size": self.spectrum_support_size,
-            "support": self.support,
-            "spectrum_support": self.spectrum_support,
-            "direction": self.direction,
-        }
-
 
 @dataclass
 class ConjectureScanReport:
@@ -165,9 +150,9 @@ class ConjectureScanReport:
             "trials": self.trials,
             "seed": self.seed,
             "min_product": self.min_product,
-            "min_witness": self.min_witness.to_json_dict() if self.min_witness else None,
+            "min_witness": asdict(self.min_witness) if self.min_witness else None,
             "violation_count": len(self.violations),
-            "violations": [w.to_json_dict() for w in self.violations],
+            "violations": [asdict(w) for w in self.violations],
         }
 
 

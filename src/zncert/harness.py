@@ -39,6 +39,9 @@ from .recovery import (
 
 SOUNDNESS_SETTINGS = ((4, 1), (5, 1), (8, 1), (9, 1), (12, 1), (16, 1), (4, 2), (5, 2))
 RECOVERY_SETTINGS = ((8, 1), (12, 1), (16, 1), (4, 2))
+EXAMPLE1_M_LIST = (2, 3, 4)  # interval lengths m
+EXAMPLE1_N_LIST = (5, 7, 9, 11)  # moduli N of Z_N^2
+EXTREMAL_N_LIST = (4, 6, 8, 9, 12)  # moduli N of Z_N
 
 CERTIFICATE_CSV_COLUMNS = ("kind", "lhs", "rhs", "correction", "slack", "satisfied")
 
@@ -134,11 +137,7 @@ def _csv_cell(value):
 
 def certificates_to_csv(certs: list) -> str:
     """Fixed-column CSV for uncertainty certificates."""
-    rows = [
-        {c: cert.to_json_dict().get(c) for c in CERTIFICATE_CSV_COLUMNS}
-        for cert in certs
-    ]
-    return rows_to_csv(rows, CERTIFICATE_CSV_COLUMNS)
+    return rows_to_csv([cert.to_json_dict() for cert in certs], CERTIFICATE_CSV_COLUMNS)
 
 
 def _trial_count(cfg: ExperimentConfig, default: int) -> int:
@@ -163,27 +162,21 @@ def _report(
     return RunReport(scenario, config, rows, summary, wall_time_s=time.perf_counter() - start)
 
 
-def run_example1(
-    m_list: tuple[int, ...] = (2, 3, 4),
-    n_list: tuple[int, ...] = (5, 7, 9, 11),
-) -> RunReport:
+def run_example1() -> RunReport:
     """Interval-grid demonstration: the refined bound strictly beats the
     additive one whenever the interval length does not divide the modulus.
 
-    Pairs (m, N) with m | N are skipped, as are pairs where interval sums
-    wrap around (2m - 2 >= N), since the closed-form energy assumes no
-    wraparound.
+    Of the pairs (m, N) from EXAMPLE1_M_LIST and EXAMPLE1_N_LIST, those
+    with m | N are skipped, as are those where interval sums wrap around
+    (2m - 2 >= N), since the closed-form energy assumes no wraparound.
     """
     start = time.perf_counter()
     pairs = [
         (m, n)
-        for m in m_list
-        for n in n_list
+        for m in EXAMPLE1_M_LIST
+        for n in EXAMPLE1_N_LIST
         if n % m != 0 and 2 * m - 2 < n
     ]
-    if not pairs:
-        raise ValueError("no valid (m, N) pairs after filtering")
-
     rows = []
     failures = 0
     for m, n in pairs:
@@ -220,7 +213,7 @@ def run_example1(
                 "ok": ok,
             }
         )
-    config = {"m_list": list(m_list), "N_list": list(n_list)}
+    config = {"m_list": list(EXAMPLE1_M_LIST), "N_list": list(EXAMPLE1_N_LIST)}
     min_slack = min(r["improvement_margin"] for r in rows)
     return _report("example1", config, rows, start, failures, min_slack=min_slack)
 
@@ -461,19 +454,20 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     )
 
 
-def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport:
+def run_extremal_cosets() -> RunReport:
     """All bounds coincide at N^d on coset indicator signals.
 
-    For every cyclic subgroup H of Z_N and every coset y + H, the signal
-    1_{y+H} has spectrum supported on the annihilator, both corrections
-    vanish, and classical, additive, and refined right sides all equal N.
+    For every N in EXTREMAL_N_LIST, every cyclic subgroup H of Z_N and
+    every coset y + H, the signal 1_{y+H} has spectrum supported on the
+    annihilator, both corrections vanish, and classical, additive, and
+    refined right sides all equal N.
     H is the multiples of N/|H|, so y = 0, ..., N/|H| - 1 are the coset
     representatives, each the least element of its coset.
     """
     start = time.perf_counter()
     rows = []
     failures = 0
-    for n in n_list:
+    for n in EXTREMAL_N_LIST:
         params = GroupParams(n, 1)
         for subgroup in all_cyclic_subgroups(params):
             step = n // len(subgroup)
@@ -506,5 +500,5 @@ def run_extremal_cosets(n_list: tuple[int, ...] = (4, 6, 8, 9, 12)) -> RunReport
                     }
                 )
     return _report(
-        "extremal-cosets", {"N_list": list(n_list)}, rows, start, failures, min_slack=0.0
+        "extremal-cosets", {"N_list": list(EXTREMAL_N_LIST)}, rows, start, failures, min_slack=0.0
     )

@@ -2,18 +2,21 @@
 
 Everything here is exact integer arithmetic on coordinate arrays, and set
 contents are kept sorted in lexicographic coordinate order so that outputs
-are deterministic. Only this module knows how a set is stored: other
-modules turn sets into arrays and back only through
-``SupportSet.from_flat``, ``coords()`` and ``flat_indices()``.
+are deterministic. A set stores its members once, as that sorted tuple of
+points: membership bisects it, and its row-major flat indices come from
+the one routine that also indexes cyclic subgroups. Only this module knows
+how a set is stored: other modules turn sets into arrays and back only
+through ``SupportSet.from_flat``, ``coords()`` and ``flat_indices()``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from operator import index
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -60,13 +63,6 @@ class GroupParams:
                 f"expected {self.dimension} coordinates, got {len(v.coords)}"
             )
         return v
-
-    def flat_index(self, v: RingVector) -> int:
-        """Row-major index of a point, matching dense signal storage."""
-        idx = 0
-        for c in v.coords:
-            idx = idx * self.modulus + c
-        return idx
 
     def from_flat(self, idx: int) -> RingVector:
         if not 0 <= idx < self.size:
@@ -117,13 +113,14 @@ class SupportSet:
 
     def __post_init__(self) -> None:
         seen: dict[tuple[int, ...], RingVector] = {}
-        for v in self.members:
-            if v.modulus != self.params.modulus or v.dimension != self.params.dimension:
-                raise ValueError("member does not live in the declared group")
-            seen[v.coords] = v
-        ordered = tuple(seen[c] for c in sorted(seen))
-        object.__setattr__(self, "members", ordered)
-        object.__setattr__(self, "_lookup", frozenset(seen))
+        try:
+            for v in self.members:
+                if v.modulus != self.params.modulus or v.dimension != self.params.dimension:
+                    raise ValueError("member does not live in the declared group")
+                seen[v.coords] = v
+        except AttributeError:  # caught once, so members pay no type check each
+            raise TypeError("members must be points; use SupportSet.from_coords") from None
+        object.__setattr__(self, "members", tuple(seen[c] for c in sorted(seen)))
 
     @classmethod
     def from_coords(
@@ -147,10 +144,17 @@ class SupportSet:
     def __iter__(self) -> Iterator[RingVector]:
         return iter(self.members)
 
-    def __contains__(self, v: RingVector) -> bool:
+    def __contains__(self, v: object) -> bool:
+        """Membership of a point, by bisecting the sorted members; anything else is absent."""
+        try:
+            coords, modulus = v.coords, v.modulus  # type: ignore[attr-defined]
+        except AttributeError:
+            return False
+        i = bisect_left(self.members, coords, key=attrgetter("coords"))
         return (
-            v.modulus == self.params.modulus
-            and v.coords in self._lookup  # type: ignore[attr-defined]
+            modulus == self.params.modulus
+            and i < len(self.members)
+            and self.members[i].coords == coords
         )
 
     def coords(self) -> np.ndarray:
@@ -165,7 +169,15 @@ class SupportSet:
         """
         if self.params.size > 2**63:
             raise CapacityError(f"flat indices need N^d <= 2^63, got N^d = {self.params.size}")
-        return np.array([self.params.flat_index(v) for v in self.members], dtype=np.int64)
+        return _row_major(self.coords(), self.params)
+
+
+def _row_major(rows: np.ndarray, params: GroupParams) -> np.ndarray:
+    """Row-major flat indices of coordinate rows as int64, for N^d <= 2^63."""
+    n, d = params.modulus, params.dimension
+    # exact Python powers N^(d-1), ..., 1: a power of an int64 N could wrap
+    place = np.array([n**k for k in range(d - 1, -1, -1)], dtype=np.int64)
+    return rows @ place
 
 
 def make_interval_grid(params: GroupParams, m: int) -> SupportSet:
@@ -241,10 +253,9 @@ def all_cyclic_subgroups(params: GroupParams) -> list[SupportSet]:
     """Every distinct subgroup generated by a single element, sorted by size."""
     params.require_dense("subgroup enumeration")
     n, d = params.modulus, params.dimension
-    place = n ** np.arange(d - 1, -1, -1)  # row-major weights
     distinct: dict[bytes, np.ndarray] = {}
     for g in product(range(n), repeat=d):
-        flat = np.sort(_cyclic_rows(n, g) @ place)
+        flat = np.sort(_row_major(_cyclic_rows(n, g), params))
         distinct.setdefault(flat.tobytes(), flat)
     ordered = sorted(distinct.values(), key=lambda flat: (len(flat), flat.tolist()))
     return [SupportSet.from_flat(params, flat) for flat in ordered]

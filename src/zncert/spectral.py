@@ -8,13 +8,15 @@ along each axis with one BLAS product, so its bits are those of the
 one-shot matrix product the reports were pinned with; both signs' matrices
 of each such modulus are built once per process and kept, read-only.
 Above it the transform is numpy's FFT, which builds no matrix, so no
-modulus is refused.
+modulus is refused. Values are stored flat in row-major order and read at
+a point through the (N,)*d grid by its coordinate tuple; indicators of
+sets are in the default convention.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -93,7 +95,8 @@ class Signal:
     def value_at(self, v: RingVector) -> complex:
         if v.modulus != self.params.modulus or v.dimension != self.params.dimension:
             raise ValueError("point lives in a different group")
-        return complex(self.values[self.params.flat_index(v)])
+        grid = self.values.reshape((self.params.modulus,) * self.params.dimension)
+        return complex(grid[v.coords])
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values)))
@@ -212,11 +215,11 @@ def random_signal(
     return Signal(params, values)
 
 
-def indicator(a: SupportSet, convention: Convention = UNITARY_MINUS) -> Signal:
-    """The 0/1 indicator of a set, as a time-side signal."""
+def indicator(a: SupportSet) -> Signal:
+    """The 0/1 indicator of a set, as a time-side signal in the default convention."""
     vals = np.zeros(a.params.size, dtype=np.complex128)
     vals[a.flat_indices()] = 1.0
-    return Signal(a.params, vals, convention, side=TIME)
+    return Signal(a.params, vals)
 
 
 def negation_permutation(params: GroupParams) -> np.ndarray:
@@ -230,10 +233,7 @@ def signal_to_json_dict(sig: Signal) -> dict:
     return {
         "N": sig.params.modulus,
         "d": sig.params.dimension,
-        "convention": {
-            "normalization": sig.convention.normalization,
-            "exponent_sign": sig.convention.exponent_sign,
-        },
+        "convention": asdict(sig.convention),
         "side": sig.side,
         "values": [[float(v.real), float(v.imag)] for v in sig.values],
     }

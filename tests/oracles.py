@@ -7,9 +7,10 @@ is part of the library.
 - ``energy_quadruple``: the additive energy as the literal count of
   quadruples x1 + x2 = x3 + x4, cubic in |A|.
 - ``energy_fourier_check``: the floating cross-check N^d * sum |1hat_A|^4.
-- ``all_points``, ``zero``, ``add``, ``dot`` and ``negate``: enumeration
-  of the group and arithmetic on single points, by tuple arithmetic on
-  ``RingVector`` coordinates. The library never computes with points.
+- ``all_points``, ``zero``, ``add``, ``dot``, ``flat_index`` and
+  ``negate``: enumeration of the group, arithmetic on single points and
+  the row-major index of one point, by tuple arithmetic on ``RingVector``
+  coordinates. The library never computes with points.
 - ``shift_set_points``, ``cyclic_subgroup_points``, ``is_subgroup_points``
   and ``annihilator_points``: translation, cyclic subgroups, the subgroup
   test (every pair sum looked up in the set) and the annihilator (every
@@ -109,6 +110,14 @@ def dot(x: RingVector, y: RingVector) -> int:
     if x.modulus != y.modulus or x.dimension != y.dimension:
         raise ValueError("points live in different groups")
     return sum(a * b for a, b in zip(x.coords, y.coords)) % x.modulus
+
+
+def flat_index(params: GroupParams, v: RingVector) -> int:
+    """Row-major index of a point, one coordinate at a time in Python ints."""
+    idx = 0
+    for c in v.coords:
+        idx = idx * params.modulus + c
+    return idx
 
 
 def negate(v: RingVector) -> RingVector:

@@ -85,7 +85,7 @@ def test_criterion_01_interval_energies():
 
 def test_criterion_02_strict_improvement():
     with criterion(2, "refined bound strictly beats additive off divisor pairs", 10.0) as m:
-        report = run_example1(m_list=(2, 3, 4), n_list=(5, 7, 9, 11))
+        report = run_example1()
         assert report.summary["fail_count"] == 0
         margins = [row["improvement_margin"] for row in report.rows]
         assert all(margin > 0 for margin in margins)
@@ -153,7 +153,7 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_extremal_equality():
     with criterion(6, "all bounds coincide on subgroup/coset pairs", 30.0) as m:
-        report = run_extremal_cosets(n_list=(4, 6, 8, 9, 12))
+        report = run_extremal_cosets()
         assert report.summary["fail_count"] == 0
         worst_rhs_gap = max(
             max(

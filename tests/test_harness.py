@@ -44,15 +44,10 @@ def test_example1_pair_selection_and_margins():
 
 
 def test_example1_energy_values():
-    report = run_example1(m_list=(2, 3), n_list=(5, 7))
+    report = run_example1()
     by_pair = {(r["m"], r["N"]): r for r in report.rows}
     assert by_pair[(2, 5)]["grid_energy"] == 36
     assert by_pair[(3, 7)]["grid_energy"] == 361
-
-
-def test_example1_empty_filter_rejected():
-    with pytest.raises(ValueError):
-        run_example1(m_list=(2,), n_list=(4, 8))
 
 
 def test_example2_all_checks_pass():
@@ -94,7 +89,7 @@ def test_sweeps_reject_nonpositive_trials(runner, trials):
 
 
 def test_extremal_cosets_runner():
-    report = run_extremal_cosets(n_list=(4, 6))
+    report = run_extremal_cosets()
     assert report.summary["fail_count"] == 0
     assert all(abs(r["correction_point"]) <= 1e-12 for r in report.rows)
 
@@ -352,6 +347,81 @@ def test_cli_energy_text_is_pinned(tmp_path):
     result = CliRunner().invoke(main, ["energy", "--set", str(set_path), "--method", "quadruple"])
     assert result.exit_code == 2
     assert "No such option '--method'" in result.output
+
+
+#: sha256 and length of each fixture file as ``save_set``, ``save_signal``
+#: and ``save_problem`` write it (keys in insertion order, not sorted).
+FIXTURE_FILE_BYTES = {
+    "set": ("632fa7bf2e28a56c95aa3770d349936f80f594c6fe4fb60fccd3344ce57be021", 84),
+    "signal": ("8122a3bce09e0664871ba52f384774cc88f93f502422b95d437649448069d937", 286),
+    "problem": ("51cfd6b01df5a0661e48a385988bdd72b38d0a883f567fcb922c6665df0277a7", 366),
+    "support": ("c48c161d155257c3f00c4c8998f4fef19b0e322a77c066312eb9906d4ef412c5", 84),
+}
+
+
+def test_saved_files_are_pinned(tmp_path):
+    digests = {}
+    for path in _write_fixture_files(tmp_path):
+        data = path.read_bytes()
+        digests[path.stem] = (hashlib.sha256(data).hexdigest(), len(data))
+    assert digests == FIXTURE_FILE_BYTES
+
+
+#: sha256 and length of the stdout of the bounds, gowers, conjecture-scan
+#: and recover commands (energy is pinned above, the reports by
+#: DEFAULT_REPORT_BYTES), on the fixture files of ``_write_fixture_files``:
+#: an analyst-plus signal on Z_4, the set {0, 1}, the support {0, 3}, and
+#: the problem missing frequencies 1 and 2. Every certificate, norm, witness
+#: and solution rendering shows here byte for byte; the roundoff digits are
+#: those of x86-64 with numpy 2.4 and OpenBLAS.
+CLI_OUTPUT_BYTES = {
+    "bounds-signal-json": (
+        ["bounds", "--signal", "{signal}"],
+        "e60a7f1a80f9d8f4b3d3cd9d538df9e209361fe0fd0cbf29f060a7cfed571272", 1497,
+    ),
+    "bounds-signal-csv": (
+        ["bounds", "--signal", "{signal}", "--format", "csv"],
+        "23402be833b7c8946d3d28cd237b30c88dda8b8475ea191021fe77f6664268b2", 259,
+    ),
+    "bounds-set-pair": (
+        ["bounds", "--E", "{set}", "--Sigma", "{support}"],
+        "7241f0aa71d945a54b983e72f9a3b5acb031d730917d9a8bd91c22b87ca0f037", 1526,
+    ),
+    "gowers-k2": (
+        ["gowers", "--signal", "{signal}", "--k", "2"],
+        "7f0812feb9af4fc388f78621599252570a7fd26644fc98fe11ad6e920e7dac99", 99,
+    ),
+    "gowers-k3": (
+        ["gowers", "--signal", "{signal}", "--k", "3"],
+        "9b53b60dc3db71bba55b455209f29888f2c6538d9ad21f598110d11dda4ba343", 98,
+    ),
+    "scan-random": (
+        ["conjecture-scan", "--N", "5", "--trials", "50"],
+        "0142b7d43b2a0a9b5a21f5da8ab491754107e4dc779965f44254250c0c4fc106", 514,
+    ),
+    "scan-exhaustive": (
+        ["conjecture-scan", "--N", "4", "--k", "3", "--sampler", "exhaustive-small"],
+        "60a6ad03cdc01fbf32a44bd0c1558796a3d5a5e2cf71e18d8f58745fffb9097a", 497,
+    ),
+    "recover-l1": (
+        ["recover", "--problem", "{problem}", "--method", "l1"],
+        "b9608ae4a8d5f38d860f6e4eef17b2efcfd98d86807f6342baa1045029951c63", 660,
+    ),
+    "recover-lsq": (
+        ["recover", "--problem", "{problem}", "--method", "lsq", "--support", "{support}"],
+        "6ad27d04ddf030e4416be31346d27bc66c73d4662a7af9764f63fa0e36a9dffa", 571,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CLI_OUTPUT_BYTES)
+def test_cli_output_is_pinned(tmp_path, name):
+    paths = dict(zip(("set", "signal", "problem", "support"), _write_fixture_files(tmp_path)))
+    template, digest, length = CLI_OUTPUT_BYTES[name]
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in template])
+    assert result.exit_code == 0, result.output
+    data = result.stdout.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)
 
 
 def no_build(n, sign):  # a refused command, or an FFT-sized one, must not reach any build

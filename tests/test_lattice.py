@@ -28,6 +28,7 @@ from oracles import (
     annihilator_points,
     cyclic_subgroup_points,
     dot,
+    flat_index,
     is_subgroup_points,
     negate,
     shift_set_points,
@@ -84,8 +85,8 @@ def test_vector_canonicalization():
 def test_flat_index_round_trip():
     p = GroupParams(5, 2)
     for i in range(p.size):
-        assert p.flat_index(p.from_flat(i)) == i
-    assert p.flat_index(p.vector([1, 2])) == 7  # row-major
+        assert flat_index(p, p.from_flat(i)) == i
+    assert flat_index(p, p.vector([1, 2])) == 7  # row-major
 
 
 @st.composite
@@ -287,10 +288,56 @@ def test_flat_indices_past_int64_are_refused():
     assert len(sub) == 4
     with pytest.raises(CapacityError, match=re.escape(f"flat indices need N^d <= 2^63, got N^d = {2**80}")):
         sub.flat_indices()
-    # at N^d = 2^63 the largest index, 2^63 - 1, still fits
-    edge = GroupParams(2**21, 3)
-    top = SupportSet.from_coords(edge, [(2**21 - 1,) * 3, (0, 0, 1)])
-    assert top.flat_indices().tolist() == [1, 2**63 - 1]
+    for n, d in ((2, 64), (3, 40), (2**63 + 1, 1)):
+        with pytest.raises(CapacityError, match=r"flat indices need N\^d <= 2\^63"):
+            SupportSet.from_coords(GroupParams(n, d), [(1,) * d]).flat_indices()
+    # up to N^d = 2^63 every index fits, the largest point's, N^d - 1, too
+    for n, d in ((2**21, 3), (2**63, 1), (2, 63), (2**31, 2)):
+        edge = GroupParams(n, d)
+        top = SupportSet.from_coords(edge, [(n - 1,) * d, (0,) * (d - 1) + (1,), (0,) * d])
+        assert top.flat_indices().dtype == np.int64
+        assert top.flat_indices().tolist() == [0, 1, edge.size - 1]
+        assert [flat_index(edge, v) for v in top] == [0, 1, edge.size - 1]
+
+
+@pytest.mark.parametrize("n", [2, 5, 31, 33, 1024])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flat_indices_match_ravel_multi_index(n, d):
+    p = GroupParams(n, d)
+    rng = np.random.default_rng(n * 10 + d)
+    a = SupportSet.from_coords(p, rng.integers(0, n, size=(min(p.size, 300), d)).tolist())
+    expected = np.ravel_multi_index(tuple(a.coords().T), (n,) * d)
+    assert a.flat_indices().dtype == np.int64
+    assert np.array_equal(a.flat_indices(), expected)
+
+
+def test_non_point_members_are_refused_and_never_members():
+    p = GroupParams(4, 1)
+    with pytest.raises(TypeError, match=r"SupportSet\.from_coords"):
+        SupportSet(p, ((1,),))
+    with pytest.raises(TypeError, match=r"SupportSet\.from_coords"):
+        SupportSet(p, (p.vector([1]), "x"))
+    a = SupportSet.from_coords(p, [(1,), (3,)])
+    for probe in ((3,), "x", 3, None, [3]):
+        assert probe not in a
+    assert p.vector([3]) in a
+
+
+def test_membership_agrees_with_coords_on_a_large_set():
+    p = GroupParams(512, 2)
+    rng = np.random.default_rng(16)
+    a = SupportSet.from_flat(p, rng.choice(p.size, size=2**16, replace=False))
+    assert len(a) == 2**16
+    rows = a.coords()
+    listed = set(map(tuple, rows.tolist()))
+    assert all(p.vector(r) in a for r in rows[:: 2**6].tolist())
+    probes = rng.integers(0, 512, size=(4096, 2)).tolist()
+    assert [p.vector(r) in a for r in probes] == [tuple(r) in listed for r in probes]
+    assert 0 < sum(tuple(r) in listed for r in probes) < len(probes)
+    for r in (rows[0].tolist(), rows[-1].tolist()):
+        assert p.vector(r) in a
+        assert RingVector(r, 513) not in a  # the same coordinates in another group
+    assert GroupParams(512, 3).vector(rows[0].tolist() + [0]) not in a
 
 
 def test_set_algebra_keeps_its_group_checks():
@@ -314,7 +361,7 @@ def test_array_edges_round_trip(n, d):
     a = SupportSet.from_flat(p, flat)
     expected = sorted(set(flat.tolist()))
     assert a.flat_indices().dtype == np.int64 and a.flat_indices().tolist() == expected
-    assert [p.flat_index(v) for v in a] == expected
+    assert [flat_index(p, v) for v in a] == expected
     rows = a.coords()
     assert rows.dtype == np.int64 and rows.shape == (len(a), d)
     assert [tuple(r) for r in rows.tolist()] == coords(a)

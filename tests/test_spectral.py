@@ -29,7 +29,7 @@ from zncert.spectral import (
     signal_to_json_dict,
     support_of,
 )
-from oracles import axis_transform_tensordot, character_matrix, dense_transform, negate
+from oracles import axis_transform_tensordot, character_matrix, dense_transform, flat_index, negate
 
 ALL_CONVENTIONS = [
     Convention(norm, sign)
@@ -470,11 +470,21 @@ def test_round_trip_property(group, convention, seed):
 def test_negation_permutation_matches_point_loop(n, d):
     p = GroupParams(n, d)
     literal = np.array(
-        [p.flat_index(negate(p.from_flat(i))) for i in range(p.size)], dtype=np.int64
+        [flat_index(p, negate(p.from_flat(i))) for i in range(p.size)], dtype=np.int64
     )
     perm = negation_permutation(p)
     assert perm.dtype == np.int64
     assert np.array_equal(perm, literal)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (7, 1), (5, 2), (3, 3), (33, 2)])
+def test_value_at_reads_the_row_major_slot(n, d):
+    p = GroupParams(n, d)
+    rng = np.random.default_rng(n + d)
+    f = Signal(p, rng.normal(size=p.size) + 1j * rng.normal(size=p.size))
+    for i in rng.choice(p.size, size=min(p.size, 40), replace=False).tolist():
+        v = p.from_flat(i)
+        assert f.value_at(v) == f.values[flat_index(p, v)]
 
 
 def test_value_at_rejects_a_point_from_another_group():
