@@ -33,6 +33,7 @@ from .recovery import (
     RecoveryProblem,
     l1_objective_profile,
     l1_recover,
+    l1_recover_many,
     least_squares_recover,
     uniqueness_check,
 )
@@ -341,7 +342,8 @@ def _recovery_trial(
     f: Signal,
     missing: SupportSet,
     growth,
-) -> dict:
+) -> tuple[RecoveryProblem, dict]:
+    """A trial's l1 problem and the fields of its row that need no solve."""
     e = support_of(f)
     classical_ok = uniqueness_check(len(e), missing, params)
     proof_final = recovery_condition(
@@ -350,13 +352,7 @@ def _recovery_trial(
     as_stated = recovery_condition(
         max(len(e), 1), missing, growth.K, growth.alpha, variant="as-stated"
     )
-    problem = RecoveryProblem.from_signal(f, missing)
-    solution = l1_recover(problem)
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    err = float(np.max(np.abs(solution.signal.values - f.values)))
-    recovered = err <= 1e-6 * scale
-    certified = classical_ok or proof_final.certifies
-    return {
+    fields = {
         "E_size": len(e),
         "S_size": len(missing),
         "S_energy": proof_final.inputs["S_energy"],
@@ -364,6 +360,18 @@ def _recovery_trial(
         "proof_final_certifies": proof_final.certifies,
         "as_stated_certifies": as_stated.certifies,
         "proof_final_slack": proof_final.rhs - proof_final.lhs,
+    }
+    return RecoveryProblem.from_signal(f, missing), fields
+
+
+def _recovery_row(f: Signal, fields: dict, solution) -> dict:
+    """A trial's row: its fields, then how the l1 solve recovered ``f``."""
+    scale = max(1.0, float(np.max(np.abs(f.values))))
+    err = float(np.max(np.abs(solution.signal.values - f.values)))
+    recovered = err <= 1e-6 * scale
+    certified = fields["classical_certifies"] or fields["proof_final_certifies"]
+    return {
+        **fields,
         "recovered": recovered,
         "recovery_error": err,
         "solver_status": solution.status,
@@ -381,19 +389,12 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     hard failure. Recovered-but-uncertified cases are informational: both
     predicates are sufficient only. A fixed pair of equal-size missing
     sets with low and high additive energy is appended to demonstrate that
-    low energy certifies more often.
+    low energy certifies more often. Every trial and contrast case is drawn
+    first; their problems are then solved together by ``l1_recover_many``.
     """
     start = time.perf_counter()
     trials = _trial_count(cfg, 200)
-    rows = []
-    failures = 0
-    crosstab = {
-        "certified_recovered": 0,
-        "certified_missed": 0,
-        "uncertified_recovered": 0,
-        "uncertified_missed": 0,
-    }
-    min_cert_slack = math.inf
+    cases = []  # (signal, problem, row fields, row labels)
     for index in range(trials):
         n, d = RECOVERY_SETTINGS[index % len(RECOVERY_SETTINGS)]
         params = GroupParams(n, d)
@@ -403,20 +404,8 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
         f = random_signal(params, rng, support_size=e_size)
         missing = SupportSet.from_flat(params, rng.choice(params.size, size=s_size, replace=False))
         growth = energy_growth_certificate(params, 2 * e_size, mode="trivial")
-        row = _recovery_trial(params, f, missing, growth)
-        row["trial"] = index
-        row["N"], row["d"] = n, d
-        rows.append(row)
-        failures += 1 if row["hard_failure"] else 0
-        min_cert_slack = min(min_cert_slack, row["proof_final_slack"])
-        key = (
-            ("certified" if row["certified"] else "uncertified")
-            + "_"
-            + ("recovered" if row["recovered"] else "missed")
-        )
-        crosstab[key] += 1
+        cases.append((f, *_recovery_trial(params, f, missing, growth), {"trial": index, "N": n, "d": d}))
 
-    contrast_rows = []
     params = GroupParams(*CONTRAST_GROUP)
     growth = energy_growth_certificate(params, 4, mode="trivial")
     for label, coords in (
@@ -427,11 +416,30 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
         for rep in range(CONTRAST_REPEATS):
             rng = _trial_rng(cfg.seed, 10_000 + rep if label == "low-energy" else 20_000 + rep)
             f = random_signal(params, rng, support_size=2)
-            row = _recovery_trial(params, f, missing, growth)
-            row["contrast"] = label
-            row["repeat"] = rep
-            contrast_rows.append(row)
-            failures += 1 if row["hard_failure"] else 0
+            cases.append((f, *_recovery_trial(params, f, missing, growth), {"contrast": label, "repeat": rep}))
+
+    solutions = l1_recover_many([problem for _, problem, _, _ in cases])
+    rows = [
+        {**_recovery_row(f, fields, solution), **labels}
+        for (f, _, fields, labels), solution in zip(cases, solutions)
+    ]
+    failures = sum(1 for row in rows if row["hard_failure"])
+    crosstab = {
+        "certified_recovered": 0,
+        "certified_missed": 0,
+        "uncertified_recovered": 0,
+        "uncertified_missed": 0,
+    }
+    min_cert_slack = math.inf
+    for row in rows[:trials]:
+        min_cert_slack = min(min_cert_slack, row["proof_final_slack"])
+        key = (
+            ("certified" if row["certified"] else "uncertified")
+            + "_"
+            + ("recovered" if row["recovered"] else "missed")
+        )
+        crosstab[key] += 1
+    contrast_rows = rows[trials:]
 
     low_certified = sum(
         1 for r in contrast_rows if r["contrast"] == "low-energy" and r["proof_final_certifies"]
@@ -442,7 +450,7 @@ def run_recovery_sweep(cfg: ExperimentConfig) -> RunReport:
     return _report(
         "recovery-sweep",
         {"trials": trials, "settings": [list(s) for s in RECOVERY_SETTINGS], "seed": cfg.seed},
-        rows + contrast_rows,
+        rows,
         start,
         failures,
         min_slack=min_cert_slack,

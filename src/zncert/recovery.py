@@ -11,9 +11,12 @@ transform round trip with the observed coordinates overwritten; it is
 performed in the unitary convention, to which the solver converts
 internally regardless of the problem's own convention. The transform is
 ``spectral``'s: the memoised dense character-matrix sum up to N = 32 and
-an FFT above it, chosen once per solve. The observed indices and values
-are gathered once per solve, and the iteration scales and thresholds in
-place.
+an FFT above it, chosen once per group. ``l1_recover_many`` runs one loop
+over the (B, N^d) stack of a group's problems, each leaving the stack when
+its own stopping test passes, with the bits it has when solved alone;
+``l1_recover`` is that loop on a stack of one. The observed indices and
+values are gathered once per stack and again when a row leaves it, and
+the iteration scales in place.
 
 A problem is a frozen record of its group, its convention and two
 row-major arrays, the observed values and the observed mask.
@@ -97,6 +100,8 @@ class RecoveryProblem:
     @classmethod
     def from_signal(cls, f: Signal, missing: SupportSet) -> RecoveryProblem:
         """Transform a time-side signal and erase the missing frequencies."""
+        if f.side != TIME:
+            raise ValueError(f"signal must be a time-side signal, got a {f.side}-side one")
         return cls.from_spectrum(dft(f), missing)
 
     @property
@@ -149,13 +154,14 @@ def _unitary_constraints(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarr
     return target, mask
 
 
-def _soft_threshold(values: np.ndarray, tau: float) -> np.ndarray:
-    mag = np.abs(values)
-    ratio = mag - tau
-    np.maximum(ratio, 0.0, out=ratio)
-    # Where mag is 0 the ratio keeps max(-tau, 0) instead of 0; the value
-    # there is a signed zero, which a finite ratio scales to the same bits.
-    np.divide(ratio, mag, out=ratio, where=mag > 0)
+def _soft_threshold(values: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Complex soft-thresholding by ``tau`` > 0, an array of the values' shape."""
+    # m = max(|v|, tau) > 0, so (m - tau) / m is (|v| - tau) / |v| where
+    # |v| > tau and +0.0 elsewhere, |v| = 0 included: the bits of
+    # max(|v| - tau, 0) / |v| with no division where |v| = 0, and no mask.
+    peak = np.maximum(np.abs(values), tau)
+    ratio = peak - tau
+    ratio /= peak
     return values * ratio
 
 
@@ -169,32 +175,78 @@ def l1_recover(
     coordinates (the exact Euclidean projection). Every z is feasible; the
     iteration stops when the prox point and the projected point coincide to
     within FEAS_TOL relative to the problem scale and the objective has
-    stabilized to within OBJ_TOL, or after ``max_iter`` iterations.
+    stabilized to within OBJ_TOL, or after ``max_iter`` iterations. This is
+    ``l1_recover_many`` on a stack of one.
+    """
+    return l1_recover_many([problem], max_iter)[0]
+
+
+def l1_recover_many(
+    problems: list[RecoveryProblem], max_iter: int = DEFAULT_MAX_ITER
+) -> list[RecoverySolution]:
+    """``l1_recover`` of every problem, in input order, bit for bit.
+
+    Problems on the same group run one Douglas-Rachford loop over a (B, N^d)
+    stack, and each leaves the stack when its own stopping test passes.
+    Every step is elementwise on the stack or a per-row reduction with the
+    summation order of a lone vector, and the transforms give each row the
+    bits it has alone, so each solution, its iteration count and its
+    diagnostics equal those of the problem solved by itself.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    params = problem.params
-    params.require_dense("l1 recovery")
-    target, observed_mask = _unitary_constraints(problem)
-    scale = params.size**-0.5
-    forward, inverse = _transform(params, -1), _transform(params, 1)
-    observed = np.flatnonzero(observed_mask)
-    observed_target = target[observed]
+    groups: dict[GroupParams, list[int]] = {}
+    for index, problem in enumerate(problems):
+        problem.params.require_dense("l1 recovery")
+        groups.setdefault(problem.params, []).append(index)
+    solutions: list[RecoverySolution] = [None] * len(problems)  # type: ignore[list-item]
+    for params, members in groups.items():
+        solved = _douglas_rachford(params, [problems[i] for i in members], max_iter)
+        for index, solution in zip(members, solved):
+            solutions[index] = solution
+    return solutions
 
-    def project(g: np.ndarray) -> np.ndarray:
+
+def _douglas_rachford(
+    params: GroupParams, problems: list[RecoveryProblem], max_iter: int
+) -> list[RecoverySolution]:
+    """The l1 loop over a stack of problems on one group.
+
+    Row k of the stack holds the iterate of ``problems[active[k]]``. The
+    prox, the 2y - x step and the scaling are elementwise, with each row's
+    threshold repeated along it; one flat assignment writes the observed
+    targets of every active row, and its index is rebuilt only when a row
+    leaves the stack. A row's objective, the l1 norm of its projected point,
+    is summed only once its gap has passed, from this iterate and the last.
+    """
+    size = params.size
+    scale = size**-0.5
+    forward, inverse = _transform(params, -1), _transform(params, 1)
+    observed, observed_target = [], []
+    for problem in problems:
+        target, mask = _unitary_constraints(problem)
+        observed.append(np.flatnonzero(mask))
+        observed_target.append(target[observed[-1]])
+
+    def gather(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        flat = np.concatenate([observed[r] + k * size for k, r in enumerate(rows)])
+        return flat, np.concatenate([observed_target[r] for r in rows])
+
+    def project(g: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
         spec = forward(g)
         spec *= scale
-        spec[observed] = observed_target
+        spec.put(flat, values)
         out = inverse(spec)
         out *= scale
         return out
 
-    def finish(z: np.ndarray, iterations: int, status: str, **extra) -> RecoverySolution:
+    def finish(r: int, z: np.ndarray, iterations: int, status: str, **extra) -> None:
         # dft(z) under the problem's convention
+        problem = problems[r]
         spectrum = _transform(params, problem.convention.forward_sign)(z)
         spectrum *= problem.convention.forward_scale(params)
         mask = problem.mask
-        return RecoverySolution(
+        solutions[r] = RecoverySolution(
             signal=Signal(params, z, problem.convention, side=TIME),
             objective=float(np.abs(z).sum()),
             feasibility_residual=float(
@@ -205,45 +257,65 @@ def l1_recover(
             diagnostics=extra,
         )
 
-    zero_fill = project(np.zeros(params.size, dtype=np.complex128))
-    problem_scale = float(np.abs(zero_fill).max())
-    if problem.mask.all():
-        return finish(zero_fill, 1, CONVERGED, method="direct-inverse")
-    if problem_scale == 0.0:
-        # All observed values vanish, so the zero signal is feasible and optimal.
-        return finish(np.zeros(params.size, dtype=np.complex128), 0, CONVERGED)
+    solutions: list[RecoverySolution] = [None] * len(problems)  # type: ignore[list-item]
+    rows = list(range(len(problems)))
+    zero_fill = project(np.zeros((len(rows), size), dtype=np.complex128), *gather(rows))
+    problem_scale = np.maximum.reduce(np.abs(zero_fill), axis=1)
+    active = []
+    for r, problem in enumerate(problems):
+        if problem.mask.all():
+            finish(r, zero_fill[r], 1, CONVERGED, method="direct-inverse")
+        elif problem_scale[r] == 0.0:
+            # All observed values vanish, so the zero signal is feasible and optimal.
+            finish(r, np.zeros(size, dtype=np.complex128), 0, CONVERGED)
+        else:
+            active.append(r)
+    if not active:
+        return solutions
 
-    tau = TAU_FRACTION * problem_scale
-    gap_tol = FEAS_TOL * problem_scale
-
-    x = zero_fill.copy()
-    z = zero_fill
-    gap = math.inf
-    previous_objective = math.inf
+    tau = np.repeat(TAU_FRACTION * problem_scale[active, None], size, axis=1)
+    gap_tol = (FEAS_TOL * problem_scale[active]).tolist()
+    flat, values = gather(active)
+    x = zero_fill[active]
+    z = x
     for iteration in range(1, max_iter + 1):
+        previous = z
         y = _soft_threshold(x, tau)
-        z = project(2.0 * y - x)
+        z = project(2.0 * y - x, flat, values)
         step = z - y
         x += step
         # |z - y| and |y - z| have the same bits
-        gap = float(np.abs(step).max())
-        objective = float(np.abs(z).sum())
-        if gap <= gap_tol and abs(objective - previous_objective) <= OBJ_TOL * max(
-            1.0, objective
-        ):
-            return finish(z, iteration, CONVERGED, gap=gap, tau=tau)
-        previous_objective = objective
+        gap = np.maximum.reduce(np.abs(step), axis=1).tolist()
+        done = []
+        for k, g in enumerate(gap):
+            # the first iterate's previous objective is infinite, so it never passes
+            if g <= gap_tol[k] and iteration > 1:
+                objective = float(np.abs(z[k]).sum())
+                if abs(objective - float(np.abs(previous[k]).sum())) <= OBJ_TOL * max(1.0, objective):
+                    done.append(k)
+        if done:
+            for k in done:
+                finish(active[k], z[k], iteration, CONVERGED, gap=gap[k], tau=float(tau[k, 0]))
+            keep = [k for k in range(len(active)) if k not in done]
+            if not keep:
+                return solutions
+            active, gap_tol, gap = ([a[k] for k in keep] for a in (active, gap_tol, gap))
+            x, z, tau = x[keep], z[keep], tau[keep]
+            flat, values = gather(active)
 
-    prox_objective = float(np.abs(_soft_threshold(x, tau)).sum())
-    near_degenerate = abs(prox_objective - previous_objective) < 10.0 * OBJ_TOL
-    return finish(
-        z,
-        max_iter,
-        MAX_ITER,
-        gap=gap,
-        tau=tau,
-        near_degenerate=near_degenerate,
-    )
+    for k, r in enumerate(active):
+        objective = float(np.abs(z[k]).sum())
+        prox_objective = float(np.abs(_soft_threshold(x[k], tau[k])).sum())
+        finish(
+            r,
+            z[k],
+            max_iter,
+            MAX_ITER,
+            gap=gap[k],
+            tau=float(tau[k, 0]),
+            near_degenerate=abs(prox_objective - objective) < 10.0 * OBJ_TOL,
+        )
+    return solutions
 
 
 def l1_objective_profile(

@@ -7,10 +7,12 @@ the transform is the defining dense sum, the N x N character matrix applied
 along each axis with one BLAS product, so its bits are those of the
 one-shot matrix product the reports were pinned with; both signs' matrices
 of each such modulus are built once per process and kept, read-only.
-Above it the transform is numpy's FFT, which builds no matrix, so no
-modulus is refused. Values are stored flat in row-major order and read at
-a point through the (N,)*d grid by its coordinate tuple; indicators of
-sets are in the default convention.
+Above it the transform is numpy's one-axis FFT along each axis in turn,
+which builds no matrix, so no modulus is refused. Either route takes one
+vector or a stack of them, one per row, and gives each row the bits it has
+alone. Values are stored flat in row-major order and read at a point
+through the (N,)*d grid by its coordinate tuple; indicators of sets are in
+the default convention.
 """
 
 from __future__ import annotations
@@ -106,12 +108,14 @@ class Signal:
 
 
 #: The largest modulus whose transforms are the dense character-matrix sum;
-#: above it they are an FFT. Two reasons put the line here. Bits: the pinned
-#: reports run at N <= 25 and the exact-bit solver tests at N <= 31, and an
-#: FFT moves roundoff that the reports print to 12 significant digits.
-#: Speed: with one BLAS thread the dense sum is also the faster route up to
-#: here (about 1.2 us against 7.5 us per transform on Z_32, 78 us against
-#: 108 us on Z_16^3), and the FFT wins from Z_64^2 and Z_256 on.
+#: above it they are a one-axis FFT per axis. Two reasons put the line here.
+#: Bits: the pinned reports run at N <= 25 and the exact-bit solver tests at
+#: N <= 31, and an FFT moves roundoff that the reports print to 12
+#: significant digits. Speed: with one BLAS thread the dense sum is also the
+#: faster route up to here, against the per-axis FFT too (about 2.2 us
+#: against 5.9 us per transform on Z_32, 112 us against 122 us on Z_16^3,
+#: timeit minima on a 2-CPU x86-64 host), and the FFT wins from Z_64^2
+#: (74 us against 107 us) and Z_256 on.
 DENSE_MAX_MODULUS = 32
 
 # Character matrices by (modulus, sign), for moduli up to DENSE_MAX_MODULUS:
@@ -137,37 +141,50 @@ def _character_matrix(n: int, sign: int) -> np.ndarray:
 def _apply_axis_transform(values: np.ndarray, params: GroupParams, w: np.ndarray) -> np.ndarray:
     """Apply a character matrix along every axis of the (N,)*d grid.
 
-    Each axis is one BLAS product of W with the view that brings that axis
-    to the front (the view ``moveaxis`` makes), the product ``tensordot``
-    would form, so the bits match it. Returns a new array.
+    ``values`` is one row-major vector or a (B, N^d) stack of them. Each
+    axis is one ``matmul`` of W over the stack, with the view that brings
+    that axis to the front of each row (the view ``moveaxis`` makes). Per
+    row that is the BLAS product ``tensordot`` would form, a matrix-vector
+    product when d = 1 and a matrix-matrix one otherwise, so every row has
+    the bits it has alone and the bits of ``tensordot``. Returns a new array
+    of the input's shape.
     """
     n, d = params.modulus, params.dimension
     if d == 1:
-        return w @ values
-    t = values.reshape((n,) * d)
-    for axis in range(d):
-        front = t.transpose(axis, *range(axis), *range(axis + 1, d))
-        back = (*range(1, axis + 1), 0, *range(axis + 1, d))
-        t = np.dot(w, front.reshape(n, -1)).reshape(front.shape).transpose(back)
-    return t.reshape(-1)
+        return np.matmul(w, values[..., None]).reshape(values.shape)
+    t = values.reshape(-1, *(n,) * d)
+    for axis in range(1, d + 1):
+        front = t.transpose(0, axis, *range(1, axis), *range(axis + 1, d + 1))
+        back = (0, *range(2, axis + 1), 1, *range(axis + 1, d + 1))
+        t = np.matmul(w, front.reshape(len(t), n, -1)).reshape(front.shape).transpose(back)
+    return t.reshape(values.shape)
 
 
 def _transform(params: GroupParams, sign: int) -> Callable[[np.ndarray], np.ndarray]:
     """The unnormalised transform with exponent ``sign`` on the (N,)*d grid.
 
-    The returned function takes row-major values and returns a new array:
-    the dense character-matrix sum when N <= DENSE_MAX_MODULUS, an FFT
-    otherwise (``fftn`` for the minus sign; ``ifftn`` with
-    ``norm="forward"``, which leaves the plus-sign sum unscaled, for the
-    plus sign).
+    The returned function takes one row-major vector or a (B, N^d) stack of
+    them and returns a new array of the same shape, each row with the bits
+    it has alone: the dense character-matrix sum when N <= DENSE_MAX_MODULUS,
+    an FFT otherwise. The FFT is numpy's one-axis ``fft`` for the minus sign
+    and ``ifft`` with ``norm="forward"``, which leaves the plus-sign sum
+    unscaled, for the plus sign, along the grid's axes last axis first: the
+    calls ``fftn`` and ``ifftn`` make, without their argument handling.
     """
-    if params.modulus <= DENSE_MAX_MODULUS:
-        w = _character_matrix(params.modulus, sign)
+    n, d = params.modulus, params.dimension
+    if n <= DENSE_MAX_MODULUS:
+        w = _character_matrix(n, sign)
         return lambda values: _apply_axis_transform(values, params, w)
-    shape = (params.modulus,) * params.dimension
-    if sign == -1:
-        return lambda values: np.fft.fftn(values.reshape(shape)).reshape(-1)
-    return lambda values: np.fft.ifftn(values.reshape(shape), norm="forward").reshape(-1)
+    norm = "backward" if sign == -1 else "forward"
+    fft = np.fft.fft if sign == -1 else np.fft.ifft
+
+    def transform(values: np.ndarray) -> np.ndarray:
+        t = values.reshape(*values.shape[:-1], *(n,) * d)
+        for axis in range(-1, -d - 1, -1):
+            t = fft(t, axis=axis, norm=norm)
+        return t.reshape(values.shape)
+
+    return transform
 
 
 def dft(f: Signal) -> Signal:

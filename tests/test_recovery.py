@@ -16,6 +16,7 @@ from zncert.recovery import (
     concentration_check,
     l1_objective_profile,
     l1_recover,
+    l1_recover_many,
     least_squares_recover,
     load_problem,
     problem_from_json_dict,
@@ -65,6 +66,13 @@ def test_problem_coverage_invariant():
     # so is a time-side signal given as the spectrum
     with pytest.raises(ValueError, match="frequency-side signal, got a time-side one"):
         RecoveryProblem.from_spectrum(f, SupportSet(P4, ()))
+
+
+def test_problem_from_signal_rejects_a_spectrum():
+    # the transform of a spectrum is not the spectrum of a signal
+    f, _ = four_point_problem()
+    with pytest.raises(ValueError, match="time-side signal, got a frequency-side one"):
+        RecoveryProblem.from_signal(dft(f), SupportSet.from_coords(P4, [(1,)]))
 
 
 def test_l1_recovers_four_point_signal():
@@ -476,6 +484,61 @@ def test_l1_matches_per_call_matrix_oracle(n, d, e_size, s_size, convention):
     assert solution.feasibility_residual == float(
         np.abs(spectrum.values[flat] - np.array(list(observations.values()))).max()
     )
+
+
+def test_l1_recover_many_matches_each_problem_solved_alone():
+    # one mixed list: five groups interleaved (two of them FFT-route), both
+    # conventions, a fully observed problem, all-zero observations, and 64
+    # problems on Z_8; then the same list under budgets that stop some rows
+    # or all of them
+    rng = np.random.default_rng(2024)
+    shapes = [(8, 1), (4, 2), (3, 3), (64, 1), (33, 2)]
+    problems = []
+    for k in range(20):
+        n, d = shapes[k % len(shapes)]
+        size = n**d
+        f, problem = random_problem(rng, n, d, int(rng.integers(1, 4)), int(rng.integers(1, min(7, size // 4) + 1)))
+        convention = (UNITARY_MINUS, ANALYST_PLUS)[k % 2]
+        problems.append(RecoveryProblem.from_signal(Signal(f.params, f.values, convention), problem.missing))
+    full, _ = random_problem(rng, 4, 2, 3, 0)
+    problems.insert(3, RecoveryProblem.from_signal(full, SupportSet(full.params, ())))
+    p8 = GroupParams(8, 1)
+    problems.insert(7, RecoveryProblem.from_signal(Signal(p8, np.zeros(8)), SupportSet.from_flat(p8, np.array([1, 6]))))
+    for k in range(64):
+        _, problem = random_problem(rng, 8, 1, int(rng.integers(1, 4)), int(rng.integers(0, 7)))
+        problems.append(problem)
+
+    solutions = l1_recover_many(problems)
+    assert len(solutions) == len(problems)
+    methods = {s.diagnostics.get("method") for s in solutions}
+    assert methods == {None, "direct-inverse"}
+    assert any(s.iterations == 0 for s in solutions)
+    for problem, solution in zip(problems, solutions):
+        alone = l1_recover(problem)
+        assert_same_solution(solution, alone)
+        if "gap" in solution.diagnostics and problem.params.modulus <= 32:
+            values, objective, iterations, gap = oracle_l1(problem)
+            assert (solution.iterations, solution.diagnostics["gap"]) == (iterations, gap)
+            assert same_bits(solution.signal.values, values) and solution.objective == objective
+
+    iterations = sorted(s.iterations for s in solutions)
+    for budget in (3, iterations[len(iterations) // 2]):
+        stopped = l1_recover_many(problems, max_iter=budget)
+        assert {s.status for s in stopped} >= {"max-iter"}
+        for problem, solution in zip(problems, stopped):
+            assert_same_solution(solution, l1_recover(problem, max_iter=budget))
+    assert l1_recover_many([]) == []
+
+
+def assert_same_solution(solution, alone):
+    assert solution.status == alone.status
+    assert solution.iterations == alone.iterations
+    assert same_bits(solution.signal.values, alone.signal.values)
+    assert solution.signal.convention == alone.signal.convention
+    assert solution.objective == alone.objective
+    assert solution.feasibility_residual == alone.feasibility_residual
+    assert solution.diagnostics == alone.diagnostics
+    assert all(type(v) in (float, bool, str) for v in solution.diagnostics.values())
 
 
 def test_l1_recovers_a_sparse_signal_on_z_65536():

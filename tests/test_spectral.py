@@ -286,15 +286,28 @@ def test_fft_route_matches_dense_oracle(n, d, convention, monkeypatch):
     ):
         expected = dense_transform(values, p, sign, reduce_phase=True) * scale
         assert np.linalg.norm(out.values - expected) <= 4 * unit * scale
+        # one axis at a time, the route has the bits of fftn and ifftn, for a
+        # vector and for each row of a stack
+        shape = (n,) * d
+        if sign == -1:
+            nd = np.fft.fftn(values.reshape(shape)).reshape(-1)
+        else:
+            nd = np.fft.ifftn(values.reshape(shape), norm="forward").reshape(-1)
+        assert same_bits(out.values, nd * scale)
+        stack = np.stack([rng.normal(size=p.size) + 1j * rng.normal(size=p.size), values, values[::-1]])
+        stacked = spectral._transform(p, sign)(stack)
+        assert stacked.shape == stack.shape
+        assert same_bits(stacked[1], nd)
+        assert same_bits(stacked[2], spectral._transform(p, sign)(stack[2]))
 
 
 def test_dense_route_ends_at_n_32(monkeypatch):
     # N = 32 takes the memoised dense sum and calls no FFT; N = 33 takes the
-    # FFT, minus sign by fftn and plus sign by ifftn, and asks for no matrix
+    # FFT, minus sign by fft and plus sign by ifft, and asks for no matrix
     assert spectral.DENSE_MAX_MODULUS == 32
     monkeypatch.setattr(spectral, "_character_memo", {})
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in ("fft", "ifft"):
         def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
             calls.append(_name)
             return _fft(*args, **kwargs)
@@ -307,7 +320,7 @@ def test_dense_route_ends_at_n_32(monkeypatch):
     kept = dict(spectral._character_memo)
     for convention in ALL_CONVENTIONS:
         idft(dft(Signal(GroupParams(33, 1), rng.normal(size=33), convention)))
-    assert calls == ["fftn", "ifftn", "ifftn", "fftn"] * 2
+    assert calls == ["fft", "ifft", "ifft", "fft"] * 2
     assert spectral._character_memo == kept
 
 
@@ -439,6 +452,7 @@ def test_character_cache_under_concurrent_transforms(monkeypatch):
 )
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_axis_transform_matches_tensordot_oracle(n, d, sign):
+    # a vector, and every row of a stack of B of them, has the oracle's bits
     p = GroupParams(n, d)
     rng = np.random.default_rng([n, d, sign + 1])
     values = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
@@ -446,6 +460,12 @@ def test_axis_transform_matches_tensordot_oracle(n, d, sign):
     out = _apply_axis_transform(values, p, w)
     assert same_bits(out, axis_transform_tensordot(values, p, w))
     assert out.flags.writeable and not np.shares_memory(out, values)
+    for b in (1, 2, 7, 64):
+        stack = rng.normal(size=(b, p.size)) + 1j * rng.normal(size=(b, p.size))
+        out = _apply_axis_transform(stack, p, w)
+        assert out.shape == stack.shape
+        assert all(same_bits(out[k], axis_transform_tensordot(stack[k], p, w)) for k in range(b))
+        assert out.flags.writeable and not np.shares_memory(out, stack)
 
 
 @settings(max_examples=60, deadline=None)
