@@ -10,7 +10,8 @@ taken for display only. The refined kind involves square roots and is
 decided at tolerance 1e-9 * N^d.
 
 ``certify_pair(E, Sigma)`` is the one pipeline for a support pair: it
-computes each exact energy once and returns all five certificates. The
+computes each exact energy once and returns all five certificates, which
+``_certificates`` builds from the two sizes and energies alone. The
 single-bound evaluators accept arbitrary size/energy combinations so they
 can be used as what-if calculators; only genuine signal supports are
 guaranteed to satisfy the inequalities.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import index
 
 from .lattice import GroupParams, SupportSet
 from .energy import energy_representation
@@ -80,6 +82,7 @@ def classical_bound(
     2 * |E| * |S| < N^d (exact integer comparison) in ``half_size_recoverable``,
     for callers passing a missing-frequency set as the second size.
     """
+    e_size, s_size = index(e_size), index(s_size)
     if e_size < 1 or s_size < 1:
         raise ValueError("support sizes must be >= 1")
     nd = params.size
@@ -100,6 +103,7 @@ def additive_bound(
     e_size: int, sigma_energy: int, params: GroupParams
 ) -> UncertaintyCertificate:
     """Energy bound: N^d <= |E| * energy(Sigma)^{1/3}, decided on cubes."""
+    e_size, sigma_energy = index(e_size), index(sigma_energy)
     if e_size < 1:
         raise ValueError("support size must be >= 1")
     if sigma_energy < 1:
@@ -208,6 +212,14 @@ def certify_pair(e: SupportSet, sigma: SupportSet) -> dict[str, UncertaintyCerti
         raise ValueError(f"E and Sigma must share one group, got {' and '.join(groups)}")
     e_energy = energy_representation(e)
     sigma_energy = energy_representation(sigma)
+    return _certificates(params, e_size, sigma_size, e_energy, sigma_energy)
+
+
+def _certificates(
+    params: GroupParams, e_size: int, sigma_size: int, e_energy: int, sigma_energy: int
+) -> dict[str, UncertaintyCertificate]:
+    """``certify_pair``'s five certificates from the two sizes and exact energies."""
+    e_size, sigma_size, e_energy, sigma_energy = map(index, (e_size, sigma_size, e_energy, sigma_energy))
     return {
         "classical": classical_bound(e_size, sigma_size, params),
         "additive_point": additive_bound(e_size, sigma_energy, params),
@@ -246,6 +258,15 @@ def recovery_condition(
     |T| <= 2|E| is the caller's responsibility (see
     energy_growth_certificate). An empty S certifies trivially.
     """
+    s_energy = energy_representation(s) if len(s) else 0
+    return _recovery_certificate(s.params.size, e_size, len(s), s_energy, k_bound, alpha, variant)
+
+
+def _recovery_certificate(
+    nd: int, e_size: int, s_size: int, s_energy: int, k_bound: float, alpha: float, variant: str
+) -> RecoveryCertificate:
+    """``recovery_condition`` on Z_N^d with N^d = ``nd``, from |S| and its exact energy."""
+    e_size, s_size, s_energy = index(e_size), index(s_size), index(s_energy)
     if variant not in ("as-stated", "proof-final"):
         raise ValueError(f"unknown recovery condition variant {variant!r}")
     if e_size < 1:
@@ -257,9 +278,7 @@ def recovery_condition(
     if not 2.0 <= alpha <= 3.0:
         raise ValueError(f"alpha must lie in [2, 3], got {alpha}")
 
-    nd = s.params.size
     rhs = nd**3 / 8.0
-    s_size = len(s)
     inputs = {
         "E_size": e_size,
         "S_size": s_size,
@@ -270,7 +289,6 @@ def recovery_condition(
         inputs["S_energy"] = 0
         return RecoveryCertificate(0.0, rhs, inputs, variant, certifies=True)
 
-    s_energy = energy_representation(s)
     inputs["S_energy"] = s_energy
     bracket = 1.0 - math.sqrt(k_bound / (2 * e_size) ** (3.0 - alpha)) * math.sqrt(
         nd / (2 * e_size * s_size)

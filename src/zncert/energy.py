@@ -13,8 +13,10 @@ one of two routes, chosen from the input:
   error is of order eps * |A| * log(N^d), far inside 1/4 at any size the
   guard admits.
 - Pairs, otherwise, and whenever the certificate fails: every pair sum,
-  formed a chunk of rows of A at a time and merged into sorted arrays,
-  so no |A|^2 array is ever held.
+  formed a chunk of rows of A at a time from A's row-major indices, so no
+  |A|^2 array is ever held. The chunks are tallied by one ``bincount``
+  into a dense count array when N^d <= |A|^2 (and N^d <= DENSE_LIMIT),
+  and otherwise merged into sorted arrays.
 
 The energy sum_t r(t)^2 can reach |A|^3, past int64, and is accumulated
 exactly. This is the library's one energy route: every energy, parallelogram
@@ -90,19 +92,19 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     )
 
 
-def _fft_counts(a: SupportSet) -> np.ndarray | None:
+def _fft_counts(params: GroupParams, flat: np.ndarray) -> np.ndarray | None:
     """Dense r = 1_A * 1_A by FFT, rounded; None unless the rounding certifies.
 
     The rounded counts are returned only when every float lies within
     FFT_MARGIN of its rounding, every rounded value lies in [0, |A|], and
     the rounded values sum to exactly |A|^2.
     """
-    size = len(a)
-    shape = (a.params.modulus,) * a.params.dimension
-    indicator = np.zeros(shape)
-    indicator[tuple(a.coords().T)] = 1.0
-    spectrum = np.fft.rfftn(indicator)
-    axes = tuple(range(a.params.dimension))
+    size = len(flat)
+    shape = (params.modulus,) * params.dimension
+    indicator = np.zeros(params.size)
+    indicator[flat] = 1.0
+    spectrum = np.fft.rfftn(indicator.reshape(shape))
+    axes = tuple(range(params.dimension))
     r = np.fft.irfftn(spectrum * spectrum, s=shape, axes=axes).reshape(-1)
     rounded = np.rint(r)
     margin = float(np.max(np.abs(r - rounded)))
@@ -114,25 +116,30 @@ def _fft_counts(a: SupportSet) -> np.ndarray | None:
     return counts
 
 
-def _pair_counts(a: SupportSet) -> tuple[np.ndarray, np.ndarray]:
+def _pair_counts(params: GroupParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact sparse r from every pair sum, a chunk of rows of A at a time.
 
-    Each chunk holds about PAIR_CHUNK sums; its distinct sums are merged
-    into the running sorted (sums, counts) arrays, so memory stays at
-    O(|A + A|) plus one chunk.
+    Each chunk holds about PAIR_CHUNK sums. When the dense count array is no
+    longer than the |A|^2 sums it counts (N^d <= |A|^2) and within
+    DENSE_LIMIT, each chunk is tallied into it by ``np.bincount``;
+    otherwise the chunk's distinct sums are merged into the running sorted
+    (sums, counts) arrays, so memory stays at O(|A + A|) plus one chunk.
     """
-    n, size = a.params.modulus, len(a)
-    if a.params.size >= 2**63:
-        raise CapacityError(f"pair sums need N^d < 2^63, got N^d = {a.params.size}")
-    coords = a.coords()
+    n, size = params.modulus, len(flat)
+    if params.size >= 2**63:
+        raise CapacityError(f"pair sums need N^d < 2^63, got N^d = {params.size}")
+    digits = np.unravel_index(flat, (n,) * params.dimension)
+    dense = np.zeros(params.size, np.int64) if params.size <= min(size * size, DENSE_LIMIT) else None
     sums = counts = np.empty(0, dtype=np.int64)
     rows = max(1, PAIR_CHUNK // max(1, size))
     for start in range(0, size, rows):
-        block = coords[start : start + rows]
-        flat = np.zeros((len(block), size), dtype=np.int64)
-        for axis in range(a.params.dimension):
-            flat = flat * n + (block[:, None, axis] + coords[None, :, axis]) % n
-        chunk_sums, chunk_counts = np.unique(flat, return_counts=True)
+        block = np.zeros((min(rows, size - start), size), dtype=np.int64)
+        for digit in digits:
+            block = block * n + (digit[start : start + rows, None] + digit[None, :]) % n
+        if dense is not None:
+            dense += np.bincount(block.reshape(-1), minlength=params.size)
+            continue
+        chunk_sums, chunk_counts = np.unique(block, return_counts=True)
         if start:  # fold in the earlier chunks' counts
             merged = np.concatenate([sums, chunk_sums])
             order = np.argsort(merged, kind="stable")
@@ -140,7 +147,20 @@ def _pair_counts(a: SupportSet) -> tuple[np.ndarray, np.ndarray]:
             first = np.flatnonzero(np.diff(merged, prepend=-1))
             chunk_sums, chunk_counts = merged[first], np.add.reduceat(tallies, first)
         sums, counts = chunk_sums, chunk_counts
+    if dense is not None:
+        sums = np.flatnonzero(dense)
+        counts = dense[sums]
     return sums, counts
+
+
+def _representation(params: GroupParams, flat: np.ndarray) -> RepresentationFunction:
+    """r(t) of the set at row-major indices ``flat``, by the routes ``representation_function`` names."""
+    if params.size <= DENSE_LIMIT and len(flat) ** 2 >= max(params.size, FFT_MIN_PAIRS):
+        dense = _fft_counts(params, flat)
+        if dense is not None:
+            sums = np.flatnonzero(dense)
+            return RepresentationFunction(params, sums, dense[sums], "fft")
+    return RepresentationFunction(params, *_pair_counts(params, flat), "pairs")
 
 
 def representation_function(a: SupportSet) -> RepresentationFunction:
@@ -150,13 +170,7 @@ def representation_function(a: SupportSet) -> RepresentationFunction:
     FFT_MIN_PAIRS); the pair route runs otherwise, and whenever the FFT
     rounding fails to certify.
     """
-    params = a.params
-    if params.size <= DENSE_LIMIT and len(a) ** 2 >= max(params.size, FFT_MIN_PAIRS):
-        dense = _fft_counts(a)
-        if dense is not None:
-            sums = np.flatnonzero(dense)
-            return RepresentationFunction(params, sums, dense[sums], "fft")
-    return RepresentationFunction(params, *_pair_counts(a), "pairs")
+    return _representation(a.params, a.flat_indices())
 
 
 def energy_representation(a: SupportSet) -> int:

@@ -4,7 +4,11 @@ Every runner returns a RunReport whose JSON rendering is byte-identical
 for identical configuration and seed (the wall-time field is excluded
 from comparisons). Floats are canonicalized to 12 significant digits.
 Per-trial randomness derives from (master seed, trial index), so trial
-order and parallel evaluation cannot change results.
+order and parallel evaluation cannot change results. Both sweeps draw every
+trial first and then work per setting: the soundness sweep transforms each
+setting's signals as one stack and certifies each trial from its support
+masks, with no set built; the recovery sweep solves each group's problems
+as one stack.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .lattice import (
     make_interval_grid,
     shift_set,
 )
-from .spectral import ANALYST_PLUS, Signal, dft, indicator, random_signal, support_of
-from .energy import energy_growth_certificate, grid_energy_closed_form
-from .bounds import certify_pair, recovery_condition
+from .spectral import ANALYST_PLUS, Signal, _forward, _support_mask, dft, indicator, random_signal, support_of
+from .energy import _representation, energy_growth_certificate, energy_representation, grid_energy_closed_form
+from .bounds import _certificates, _recovery_certificate, certify_pair
 from .recovery import (
     RecoveryProblem,
     l1_objective_profile,
@@ -288,22 +292,28 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
     """
     start = time.perf_counter()
     trials = _trial_count(cfg, 500)
+    settings = [SOUNDNESS_SETTINGS[index % len(SOUNDNESS_SETTINGS)] for index in range(trials)]
+    groups = {setting: GroupParams(*setting) for setting in SOUNDNESS_SETTINGS}
+    signals = [random_signal(groups[s], _trial_rng(cfg.seed, i)) for i, s in enumerate(settings)]
+    # Each setting's trials as one stack: one transform and one support mask
+    # per side; a trial's masks sit at its position among its setting's.
+    masks = {}
+    for setting in dict.fromkeys(settings):
+        stack = np.array([f.values for f, s in zip(signals, settings) if s == setting])
+        spectra = _forward(stack, groups[setting], signals[0].convention)
+        masks[setting] = iter(zip(_support_mask(stack), _support_mask(spectra)))
     rows = []
     failures = 0
     min_slack = {"classical": math.inf, "additive": math.inf, "refined": math.inf}
-    for index in range(trials):
-        n, d = SOUNDNESS_SETTINGS[index % len(SOUNDNESS_SETTINGS)]
-        params = GroupParams(n, d)
-        rng = _trial_rng(cfg.seed, index)
-        f = random_signal(params, rng)
-        e = support_of(f)
-        sigma = support_of(dft(f))
-        certs = certify_pair(e, sigma)
+    for index, (n, d) in enumerate(settings):
+        params = groups[n, d]
+        e, sigma = (np.flatnonzero(mask) for mask in next(masks[n, d]))
+        e_energy, sigma_energy = (_representation(params, side).energy() for side in (e, sigma))
+        certs = _certificates(params, len(e), len(sigma), e_energy, sigma_energy)
         ok = all(c.satisfied for c in certs.values())
         failures += 0 if ok else 1
         for cert in certs.values():
             min_slack[cert.kind] = min(min_slack[cert.kind], cert.slack)
-        inputs = certs["refined_point"].inputs
         rows.append(
             {
                 "trial": index,
@@ -311,8 +321,8 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
                 "d": d,
                 "E_size": len(e),
                 "sigma_size": len(sigma),
-                "E_energy": inputs["E_energy"],
-                "sigma_energy": inputs["sigma_energy"],
+                "E_energy": e_energy,
+                "sigma_energy": sigma_energy,
                 **{f"slack_{name}": cert.slack for name, cert in certs.items()},
                 "ok": ok,
             }
@@ -344,18 +354,17 @@ def _recovery_trial(
     growth,
 ) -> tuple[RecoveryProblem, dict]:
     """A trial's l1 problem and the fields of its row that need no solve."""
-    e = support_of(f)
-    classical_ok = uniqueness_check(len(e), missing, params)
-    proof_final = recovery_condition(
-        max(len(e), 1), missing, growth.K, growth.alpha, variant="proof-final"
-    )
-    as_stated = recovery_condition(
-        max(len(e), 1), missing, growth.K, growth.alpha, variant="as-stated"
+    e_size = int(np.count_nonzero(_support_mask(f.values)))
+    classical_ok = uniqueness_check(e_size, missing, params)
+    s_energy = energy_representation(missing) if len(missing) else 0
+    proof_final, as_stated = (
+        _recovery_certificate(params.size, max(e_size, 1), len(missing), s_energy, growth.K, growth.alpha, v)
+        for v in ("proof-final", "as-stated")
     )
     fields = {
-        "E_size": len(e),
+        "E_size": e_size,
         "S_size": len(missing),
-        "S_energy": proof_final.inputs["S_energy"],
+        "S_energy": s_energy,
         "classical_certifies": classical_ok,
         "proof_final_certifies": proof_final.certifies,
         "as_stated_certifies": as_stated.certifies,

@@ -442,8 +442,11 @@ def concentration_check(
     """Check the mass concentration bound for a signal with spectrum in S.
 
     For supp(hhat) inside S:  sum_{x in E} |h(x)| <= (|E||S| / N^d) ||h||_1.
-    Raises if the spectrum support (at the default threshold) leaks out of S.
+    Raises if the spectrum support (at the default threshold) leaks out of S,
+    or if ``h`` is itself a frequency-side spectrum.
     """
+    if h.side != TIME:
+        raise ValueError(f"signal must be a time-side signal, got a {h.side}-side one")
     if e.params != h.params or s.params != h.params:
         raise ValueError("sets live in a different group")
     stray = np.setdiff1d(support_of(dft(h)).flat_indices(), s.flat_indices())

@@ -187,11 +187,16 @@ def _transform(params: GroupParams, sign: int) -> Callable[[np.ndarray], np.ndar
     return transform
 
 
+def _forward(values: np.ndarray, params: GroupParams, convention: Convention) -> np.ndarray:
+    """The forward transform of a vector or a (B, N^d) stack, scaled as ``dft`` scales."""
+    out = _transform(params, convention.forward_sign)(values)
+    out *= convention.forward_scale(params)
+    return out
+
+
 def dft(f: Signal) -> Signal:
     """Forward transform under the signal's own convention."""
-    out = _transform(f.params, f.convention.forward_sign)(f.values)
-    out *= f.convention.forward_scale(f.params)
-    return Signal(f.params, out, f.convention, side=FREQUENCY)
+    return Signal(f.params, _forward(f.values, f.params, f.convention), f.convention, side=FREQUENCY)
 
 
 def idft(spectrum: Signal) -> Signal:
@@ -201,18 +206,19 @@ def idft(spectrum: Signal) -> Signal:
     return Signal(spectrum.params, out, spectrum.convention, side=TIME)
 
 
-def default_threshold(values: np.ndarray) -> float:
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    return 1e-9 * peak
+def _support_mask(values: np.ndarray, tau: float | None = None) -> np.ndarray:
+    """|v| > tau for a vector or each row of a (B, N^d) stack; tau defaults to 1e-9 * the row's max |v|."""
+    magnitude = np.abs(values)
+    if tau is None:
+        tau = 1e-9 * magnitude.max(axis=-1, keepdims=True)
+    return magnitude > tau
 
 
 def support_of(f: Signal, tau: float | None = None) -> SupportSet:
     """The set {x : |f(x)| > tau}; tau defaults to 1e-9 * max|f|."""
-    if tau is None:
-        tau = default_threshold(f.values)
-    if not tau >= 0:
+    if tau is not None and not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    return SupportSet.from_flat(f.params, np.flatnonzero(np.abs(f.values) > tau))
+    return SupportSet.from_flat(f.params, np.flatnonzero(_support_mask(f.values, tau)))
 
 
 def random_signal(

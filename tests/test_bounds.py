@@ -382,3 +382,54 @@ def test_certify_pair_rejects_unusable_pairs():
             check(SupportSet(p4, ()), a)
         with pytest.raises(ValueError, match="nonempty, got sizes 2 and 0"):
             check(a, SupportSet(p4, ()))
+
+
+def test_bound_evaluators_take_exact_integers():
+    p = GroupParams(1024, 2)
+    # (2^21)^3 * 8 = 2^66 overflows int64; exactly it is >= (2^20)^3.
+    assert additive_bound(np.int64(2**21), np.int64(8), p).satisfied
+    assert _bits(additive_bound(np.int64(2**21), np.int64(8), p)) == _bits(additive_bound(2**21, 8, p))
+    # 2^40 * 2^40 overflows int64; exactly it is far above N^d = 2^20.
+    cert = classical_bound(np.int64(2**40), np.int64(2**40), p)
+    assert cert.satisfied and not cert.half_size_recoverable
+    assert _bits(cert) == _bits(classical_bound(2**40, 2**40, p))
+    sizes = dict(e_size=np.int64(2**11), sigma_size=np.int64(2**12))
+    energies = dict(e_energy=np.int64(2**33), sigma_energy=np.int64(2**36))
+    certs = bounds._certificates(p, **sizes, **energies)
+    exact = bounds._certificates(p, 2**11, 2**12, 2**33, 2**36)
+    assert [_bits(c) for c in certs.values()] == [_bits(c) for c in exact.values()]
+    assert all(type(v) is int for c in certs.values() for v in c.inputs.values())
+    cert = bounds._recovery_certificate(p.size, np.int64(2**21), np.int64(3), np.int64(19), 1.0, 3.0, "as-stated")
+    assert cert == bounds._recovery_certificate(p.size, 2**21, 3, 19, 1.0, 3.0, "as-stated")
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: classical_bound(2.5, 3, p),
+        lambda p: classical_bound(2, 3.0, p),
+        lambda p: additive_bound(2.5, 8, p),
+        lambda p: additive_bound(2, 8.5, p),
+        lambda p: bounds._certificates(p, 2, 3, 6.0, 9),
+        lambda p: bounds._recovery_certificate(p.size, 2.5, 1, 1, 1.0, 3.0, "proof-final"),
+        lambda p: bounds._recovery_certificate(p.size, 2, 1, 1.0, 1.0, 3.0, "proof-final"),
+    ],
+    ids=["classical-e", "classical-s", "additive-e", "additive-energy", "certificates", "recovery-e", "recovery-energy"],
+)
+def test_bound_evaluators_refuse_non_integer_sizes(evaluate):
+    with pytest.raises(TypeError):
+        evaluate(GroupParams(4, 1))
+
+
+def test_recovery_condition_is_its_set_free_core():
+    rng = np.random.default_rng(41)
+    for n, d in ((8, 1), (16, 1), (4, 2)):
+        p = GroupParams(n, d)
+        for s_size in range(0, 7):
+            s = SupportSet.from_flat(p, rng.choice(p.size, size=s_size, replace=False))
+            s_energy = energy_representation(s) if s_size else 0
+            for e_size in (1, 2, 3):
+                for variant in ("proof-final", "as-stated"):
+                    cert = recovery_condition(e_size, s, 1.0, 3.0, variant=variant)
+                    core = bounds._recovery_certificate(p.size, e_size, s_size, s_energy, 1.0, 3.0, variant)
+                    assert cert == core

@@ -6,6 +6,7 @@ closed forms; direct degenerate-excluding enumeration backs the
 parallelogram count.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -123,9 +124,9 @@ def small_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_sets())
 def test_routes_agree_with_quadruple_count(a):
-    dense = energy._fft_counts(a)
+    dense = energy._fft_counts(a.params, a.flat_indices())
     assert dense is not None
-    sums, counts = energy._pair_counts(a)
+    sums, counts = energy._pair_counts(a.params, a.flat_indices())
     assert np.array_equal(sums, np.flatnonzero(dense))
     assert np.array_equal(counts, dense[sums])
     assert int(counts.sum()) == len(a) ** 2
@@ -139,10 +140,10 @@ def test_pair_route_merges_chunks(monkeypatch):
     rng = np.random.default_rng(31)
     p = GroupParams(9, 2)
     sets = [random_set(p, rng) for _ in range(10)]
-    whole = [energy._pair_counts(a) for a in sets]
+    whole = [energy._pair_counts(a.params, a.flat_indices()) for a in sets]
     monkeypatch.setattr(energy, "PAIR_CHUNK", 7)
     for a, (sums, counts) in zip(sets, whole):
-        chunked_sums, chunked_counts = energy._pair_counts(a)
+        chunked_sums, chunked_counts = energy._pair_counts(a.params, a.flat_indices())
         assert np.array_equal(chunked_sums, sums)
         assert np.array_equal(chunked_counts, counts)
 
@@ -173,7 +174,7 @@ def test_failed_certificate_falls_back_to_pairs(monkeypatch, perturb):
     assert representation_function(grid).route == "fft"
     inverse = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: perturb(inverse(*args, **kw)))
-    assert energy._fft_counts(grid) is None
+    assert energy._fft_counts(grid.params, grid.flat_indices()) is None
     r = representation_function(grid)
     assert r.route == "pairs"
     assert r.energy() == grid_energy_closed_form(6, 2) == energy_quadruple(grid)
@@ -332,3 +333,56 @@ def test_energy_certificate_fields():
     assert cert.to_json_dict()["method"] == "representation"
     with pytest.raises(ValueError):
         energy_certificate(SupportSet(p, ()))
+
+
+def _pair_sum_counts(a: SupportSet) -> dict[int, int]:
+    """r(t) by a double loop over coordinates, keyed by t's row-major index."""
+    n, members = a.params.modulus, [v.coords for v in a]
+    counts: dict[int, int] = {}
+    for x in members:
+        for y in members:
+            t = 0
+            for p, q in zip(x, y):
+                t = t * n + (p + q) % n
+            counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def _check_pair_route(a: SupportSet, monkeypatch) -> None:
+    """The pair route's counts against the double loop and the quadruple loop,
+    and the bincount tally exactly where N^d <= |A|^2."""
+    tallies = []
+    bincount = np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        tallies.append(1)
+        return bincount(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "bincount", counted_bincount)
+        sums, counts = energy._pair_counts(a.params, a.flat_indices())
+    assert bool(tallies) == (a.params.size <= len(a) ** 2)
+    assert dict(zip(sums.tolist(), counts.tolist())) == _pair_sum_counts(a)
+    assert np.all(np.diff(sums) > 0) and sums.dtype == counts.dtype == np.int64
+    assert int(np.dot(counts, counts)) == energy_quadruple(a)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (3, 2)])
+def test_pair_route_on_every_subset(n, d, monkeypatch):
+    p = GroupParams(n, d)
+    for size in range(p.size + 1):
+        for flat in combinations(range(p.size), size):
+            _check_pair_route(SupportSet.from_flat(p, flat), monkeypatch)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_pair_route_on_both_sides_of_the_bincount_line(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(energy, "PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(23)
+    for n, d in ((64, 1), (10, 2), (5, 3), (4, 4)):
+        p = GroupParams(n, d)
+        line = math.isqrt(p.size - 1) + 1  # the least |A| with |A|^2 >= N^d
+        for size in (1, line - 2, line - 1, line, line + 1, 2 * line):
+            for _ in range(3):
+                _check_pair_route(random_set(p, rng, size), monkeypatch)

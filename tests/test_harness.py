@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from zncert import spectral
 from zncert.cli import main
 from zncert.energy import energy_representation
 from zncert.harness import (
+    SOUNDNESS_SETTINGS,
     ExperimentConfig,
     RunReport,
     canonical_json,
@@ -22,9 +24,9 @@ from zncert.harness import (
     run_recovery_sweep,
     run_soundness_sweep,
 )
-from zncert.bounds import classical_bound
+from zncert.bounds import certify_pair, classical_bound
 from zncert.lattice import GroupParams, SupportSet, save_set
-from zncert.spectral import ANALYST_PLUS, Signal, save_signal
+from zncert.spectral import ANALYST_PLUS, Signal, dft, random_signal, save_signal, support_of
 from zncert.recovery import RecoveryProblem, save_problem
 
 
@@ -118,19 +120,84 @@ DEFAULT_REPORT_BYTES = {
 }
 
 
-def test_default_reports_are_byte_identical():
-    reports = [
-        run_recovery_sweep(ExperimentConfig("recovery-sweep")),
-        run_soundness_sweep(ExperimentConfig("soundness-sweep")),
-        run_example1(),
-        run_example2(),
-        run_extremal_cosets(),
-    ]
-    digests = {}
-    for report in reports:
-        data = report.to_json(include_timing=False).encode()
-        digests[report.scenario] = (hashlib.sha256(data).hexdigest(), len(data))
-    assert digests == DEFAULT_REPORT_BYTES
+DEFAULT_RUNNERS = {
+    "recovery-sweep": lambda: run_recovery_sweep(ExperimentConfig("recovery-sweep")),
+    "soundness-sweep": lambda: run_soundness_sweep(ExperimentConfig("soundness-sweep")),
+    "example1": run_example1,
+    "example2": run_example2,
+    "extremal-cosets": run_extremal_cosets,
+}
+
+
+@pytest.mark.parametrize("scenario", list(DEFAULT_REPORT_BYTES))
+def test_default_reports_are_byte_identical(scenario):
+    report = DEFAULT_RUNNERS[scenario]()
+    assert report.scenario == scenario
+    data = report.to_json(include_timing=False).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == DEFAULT_REPORT_BYTES[scenario]
+
+
+def _soundness_oracle(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+    """The soundness sweep one trial at a time through the set pipeline."""
+    rows, min_slack = [], {"classical": math.inf, "additive": math.inf, "refined": math.inf}
+    for index in range(cfg.trials):
+        n, d = SOUNDNESS_SETTINGS[index % len(SOUNDNESS_SETTINGS)]
+        f = random_signal(GroupParams(n, d), np.random.default_rng([cfg.seed, index]))
+        e = support_of(f)
+        sigma = support_of(dft(f))
+        certs = certify_pair(e, sigma)
+        for cert in certs.values():
+            min_slack[cert.kind] = min(min_slack[cert.kind], cert.slack)
+        inputs = certs["refined_point"].inputs
+        rows.append(
+            {
+                "trial": index,
+                "N": n,
+                "d": d,
+                "E_size": len(e),
+                "sigma_size": len(sigma),
+                "E_energy": inputs["E_energy"],
+                "sigma_energy": inputs["sigma_energy"],
+                **{f"slack_{name}": cert.slack for name, cert in certs.items()},
+                "ok": all(c.satisfied for c in certs.values()),
+            }
+        )
+    failures = sum(1 for row in rows if not row["ok"])
+    summary = {
+        "pass_count": len(rows) - failures,
+        "fail_count": failures,
+        "min_slack": min(min_slack.values()),
+        "min_slack_by_kind": min_slack,
+    }
+    return rows, summary
+
+
+def _exact(value):
+    """A row or summary with every float as its exact hex digits."""
+    if isinstance(value, dict):
+        return [(k, _exact(v)) for k, v in value.items()]
+    return (type(value).__name__, value.hex() if isinstance(value, float) else value)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("trials", [1, 7, 37])
+def test_soundness_sweep_matches_trial_by_trial_oracle(seed, trials):
+    cfg = ExperimentConfig("soundness-sweep", trials=trials, seed=seed)
+    report = run_soundness_sweep(cfg)
+    rows, summary = _soundness_oracle(cfg)
+    assert [_exact(row) for row in report.rows] == [_exact(row) for row in rows]
+    assert _exact(report.summary) == _exact(summary)
+
+
+def test_soundness_sweep_builds_no_sets(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a SupportSet was built")
+
+    monkeypatch.setattr(SupportSet, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="a SupportSet was built"):
+        support_of(random_signal(GroupParams(4, 1), np.random.default_rng(0)))
+    report = run_soundness_sweep(ExperimentConfig("soundness-sweep", trials=40, seed=3))
+    assert len(report.rows) == 40
 
 
 def test_canonical_json_formats_floats():

@@ -289,6 +289,20 @@ def test_concentration_rejects_leaky_spectrum():
         concentration_check(h, e, s)
 
 
+def test_concentration_rejects_a_spectrum():
+    # Passing dft(h) used to transform the spectrum again and report
+    # "holds" on another function, h(-x), whose spectrum also lies in S.
+    p = GroupParams(8, 1)
+    spec = np.zeros(8, dtype=complex)
+    spec[[0, 4]] = 1.0
+    h = idft(Signal(p, spec, side="frequency"))  # supported on the even points
+    e = SupportSet.from_coords(p, [(0,), (4,)])
+    s = SupportSet.from_coords(p, [(0,), (2,), (4,), (6,)])
+    assert concentration_check(h, e, s).holds
+    with pytest.raises(ValueError, match="must be a time-side signal, got a frequency-side one"):
+        concentration_check(dft(h), e, s)
+
+
 def test_problem_json_round_trip(tmp_path):
     _, problem = four_point_problem()
     data = problem_to_json_dict(problem)
