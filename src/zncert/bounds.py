@@ -258,6 +258,7 @@ def recovery_condition(
     |T| <= 2|E| is the caller's responsibility (see
     energy_growth_certificate). An empty S certifies trivially.
     """
+    _check_recovery_arguments(e_size, k_bound, alpha, variant)  # before S's energy is computed
     s_energy = energy_representation(s) if len(s) else 0
     return _recovery_certificate(s.params.size, e_size, len(s), s_energy, k_bound, alpha, variant)
 
@@ -267,17 +268,7 @@ def _recovery_certificate(
 ) -> RecoveryCertificate:
     """``recovery_condition`` on Z_N^d with N^d = ``nd``, from |S| and its exact energy."""
     e_size, s_size, s_energy = index(e_size), index(s_size), index(s_energy)
-    if variant not in ("as-stated", "proof-final"):
-        raise ValueError(f"unknown recovery condition variant {variant!r}")
-    if e_size < 1:
-        raise ValueError("support size must be >= 1")
-    if not k_bound >= 0:
-        raise ValueError(f"K must be >= 0, got {k_bound}")
-    if k_bound == math.inf:
-        raise ValueError("K must be finite, got inf")
-    if not 2.0 <= alpha <= 3.0:
-        raise ValueError(f"alpha must lie in [2, 3], got {alpha}")
-
+    _check_recovery_arguments(e_size, k_bound, alpha, variant)
     rhs = nd**3 / 8.0
     inputs = {
         "E_size": e_size,
@@ -302,3 +293,16 @@ def _recovery_certificate(
     )
     return RecoveryCertificate(lhs, rhs, inputs, variant, certifies=lhs < rhs)
 
+
+def _check_recovery_arguments(e_size: int, k_bound: float, alpha: float, variant: str) -> None:
+    """Refuse an unknown variant, |E| < 1, K outside [0, inf) or alpha outside [2, 3]."""
+    if variant not in ("as-stated", "proof-final"):
+        raise ValueError(f"unknown recovery condition variant {variant!r}")
+    if e_size < 1:
+        raise ValueError("support size must be >= 1")
+    if not k_bound >= 0:
+        raise ValueError(f"K must be >= 0, got {k_bound}")
+    if k_bound == math.inf:
+        raise ValueError("K must be finite, got inf")
+    if not 2.0 <= alpha <= 3.0:
+        raise ValueError(f"alpha must lie in [2, 3], got {alpha}")

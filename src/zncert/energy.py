@@ -13,10 +13,8 @@ one of two routes, chosen from the input:
   error is of order eps * |A| * log(N^d), far inside 1/4 at any size the
   guard admits.
 - Pairs, otherwise, and whenever the certificate fails: every pair sum,
-  formed a chunk of rows of A at a time from A's row-major indices, so no
-  |A|^2 array is ever held. The chunks are tallied by one ``bincount``
-  into a dense count array when N^d <= |A|^2 (and N^d <= DENSE_LIMIT),
-  and otherwise merged into sorted arrays.
+  formed a chunk of rows of A at a time from A's row-major indices and
+  merged into sorted arrays, so no |A|^2 array is ever held.
 
 The energy sum_t r(t)^2 can reach |A|^3, past int64, and is accumulated
 exactly. This is the library's one energy route: every energy, parallelogram
@@ -119,26 +117,20 @@ def _fft_counts(params: GroupParams, flat: np.ndarray) -> np.ndarray | None:
 def _pair_counts(params: GroupParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact sparse r from every pair sum, a chunk of rows of A at a time.
 
-    Each chunk holds about PAIR_CHUNK sums. When the dense count array is no
-    longer than the |A|^2 sums it counts (N^d <= |A|^2) and within
-    DENSE_LIMIT, each chunk is tallied into it by ``np.bincount``;
-    otherwise the chunk's distinct sums are merged into the running sorted
-    (sums, counts) arrays, so memory stays at O(|A + A|) plus one chunk.
+    Each chunk holds about PAIR_CHUNK sums; its distinct sums are merged
+    into the running sorted (sums, counts) arrays, so memory stays at
+    O(|A + A|) plus one chunk.
     """
     n, size = params.modulus, len(flat)
     if params.size >= 2**63:
         raise CapacityError(f"pair sums need N^d < 2^63, got N^d = {params.size}")
     digits = np.unravel_index(flat, (n,) * params.dimension)
-    dense = np.zeros(params.size, np.int64) if params.size <= min(size * size, DENSE_LIMIT) else None
     sums = counts = np.empty(0, dtype=np.int64)
     rows = max(1, PAIR_CHUNK // max(1, size))
     for start in range(0, size, rows):
         block = np.zeros((min(rows, size - start), size), dtype=np.int64)
         for digit in digits:
             block = block * n + (digit[start : start + rows, None] + digit[None, :]) % n
-        if dense is not None:
-            dense += np.bincount(block.reshape(-1), minlength=params.size)
-            continue
         chunk_sums, chunk_counts = np.unique(block, return_counts=True)
         if start:  # fold in the earlier chunks' counts
             merged = np.concatenate([sums, chunk_sums])
@@ -147,9 +139,6 @@ def _pair_counts(params: GroupParams, flat: np.ndarray) -> tuple[np.ndarray, np.
             first = np.flatnonzero(np.diff(merged, prepend=-1))
             chunk_sums, chunk_counts = merged[first], np.add.reduceat(tallies, first)
         sums, counts = chunk_sums, chunk_counts
-    if dense is not None:
-        sums = np.flatnonzero(dense)
-        counts = dense[sums]
     return sums, counts
 
 

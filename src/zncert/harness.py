@@ -4,11 +4,11 @@ Every runner returns a RunReport whose JSON rendering is byte-identical
 for identical configuration and seed (the wall-time field is excluded
 from comparisons). Floats are canonicalized to 12 significant digits.
 Per-trial randomness derives from (master seed, trial index), so trial
-order and parallel evaluation cannot change results. Both sweeps draw every
-trial first and then work per setting: the soundness sweep transforms each
-setting's signals as one stack and certifies each trial from its support
-masks, with no set built; the recovery sweep solves each group's problems
-as one stack.
+order and parallel evaluation cannot change results. Both sweeps draw
+first and then work per setting: the soundness sweep draws each setting's
+signals into one stack, transforms it at once and certifies each trial
+from its support masks, with no set built; the recovery sweep draws every
+case and solves each group's problems as one stack.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .lattice import (
     make_interval_grid,
     shift_set,
 )
-from .spectral import ANALYST_PLUS, Signal, _forward, _support_mask, dft, indicator, random_signal, support_of
+from .spectral import ANALYST_PLUS, UNITARY_MINUS, Signal, _forward, _support_mask, dft, indicator, random_signal, support_of
 from .energy import _representation, energy_growth_certificate, energy_representation, grid_energy_closed_form
 from .bounds import _certificates, _recovery_certificate, certify_pair
 from .recovery import (
@@ -292,15 +292,17 @@ def run_soundness_sweep(cfg: ExperimentConfig) -> RunReport:
     """
     start = time.perf_counter()
     trials = _trial_count(cfg, 500)
-    settings = [SOUNDNESS_SETTINGS[index % len(SOUNDNESS_SETTINGS)] for index in range(trials)]
+    period = len(SOUNDNESS_SETTINGS)
+    settings = [SOUNDNESS_SETTINGS[index % period] for index in range(trials)]
     groups = {setting: GroupParams(*setting) for setting in SOUNDNESS_SETTINGS}
-    signals = [random_signal(groups[s], _trial_rng(cfg.seed, i)) for i, s in enumerate(settings)]
-    # Each setting's trials as one stack: one transform and one support mask
-    # per side; a trial's masks sit at its position among its setting's.
+    # Each setting's trials (every period-th) as one stack: one transform and
+    # one support mask per side; only the masks are kept, in trial order.
     masks = {}
-    for setting in dict.fromkeys(settings):
-        stack = np.array([f.values for f, s in zip(signals, settings) if s == setting])
-        spectra = _forward(stack, groups[setting], signals[0].convention)
+    for first, setting in enumerate(SOUNDNESS_SETTINGS[:trials]):
+        params = groups[setting]
+        draws = range(first, trials, period)
+        stack = np.array([random_signal(params, _trial_rng(cfg.seed, i)).values for i in draws])
+        spectra = _forward(stack, params, UNITARY_MINUS)
         masks[setting] = iter(zip(_support_mask(stack), _support_mask(spectra)))
     rows = []
     failures = 0

@@ -241,6 +241,15 @@ def test_recovery_condition_validation():
         recovery_condition(2, s, 1.0, 3.0, variant="folklore")
 
 
+def test_recovery_condition_checks_arguments_before_the_energy():
+    # S's energy would raise CapacityError here: pair-sum keys need N^d < 2^63.
+    s = SupportSet.from_coords(GroupParams(2**32, 2), [(0, 0), (1, 1)])
+    bad = [(2, 1.0, 3.0, "folklore"), (0, 1.0, 3.0, "proof-final"), (2, -1.0, 3.0, "as-stated"), (2, 1.0, 1.5, "as-stated")]
+    for e_size, k_bound, alpha, variant in bad:
+        with pytest.raises(ValueError):
+            recovery_condition(e_size, s, k_bound, alpha, variant=variant)
+
+
 def test_recovery_condition_subset_dominance():
     # proof-final variant: certification survives shrinking the missing set
     rng = np.random.default_rng(43)

@@ -6,7 +6,6 @@ closed forms; direct degenerate-excluding enumeration backs the
 parallelogram count.
 """
 
-import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -348,41 +347,14 @@ def _pair_sum_counts(a: SupportSet) -> dict[int, int]:
     return counts
 
 
-def _check_pair_route(a: SupportSet, monkeypatch) -> None:
-    """The pair route's counts against the double loop and the quadruple loop,
-    and the bincount tally exactly where N^d <= |A|^2."""
-    tallies = []
-    bincount = np.bincount
-
-    def counted_bincount(*args, **kwargs):
-        tallies.append(1)
-        return bincount(*args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(np, "bincount", counted_bincount)
-        sums, counts = energy._pair_counts(a.params, a.flat_indices())
-    assert bool(tallies) == (a.params.size <= len(a) ** 2)
-    assert dict(zip(sums.tolist(), counts.tolist())) == _pair_sum_counts(a)
-    assert np.all(np.diff(sums) > 0) and sums.dtype == counts.dtype == np.int64
-    assert int(np.dot(counts, counts)) == energy_quadruple(a)
-
-
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (3, 2)])
-def test_pair_route_on_every_subset(n, d, monkeypatch):
+def test_pair_route_on_every_subset(n, d):
+    # The pair route's counts against a double loop and its energy against the quadruple loop.
     p = GroupParams(n, d)
     for size in range(p.size + 1):
         for flat in combinations(range(p.size), size):
-            _check_pair_route(SupportSet.from_flat(p, flat), monkeypatch)
-
-
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_pair_route_on_both_sides_of_the_bincount_line(chunk, monkeypatch):
-    if chunk:
-        monkeypatch.setattr(energy, "PAIR_CHUNK", chunk)
-    rng = np.random.default_rng(23)
-    for n, d in ((64, 1), (10, 2), (5, 3), (4, 4)):
-        p = GroupParams(n, d)
-        line = math.isqrt(p.size - 1) + 1  # the least |A| with |A|^2 >= N^d
-        for size in (1, line - 2, line - 1, line, line + 1, 2 * line):
-            for _ in range(3):
-                _check_pair_route(random_set(p, rng, size), monkeypatch)
+            a = SupportSet.from_flat(p, flat)
+            sums, counts = energy._pair_counts(p, a.flat_indices())
+            assert dict(zip(sums.tolist(), counts.tolist())) == _pair_sum_counts(a)
+            assert np.all(np.diff(sums) > 0) and sums.dtype == counts.dtype == np.int64
+            assert int(np.dot(counts, counts)) == energy_quadruple(a)
